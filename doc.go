@@ -76,27 +76,37 @@
 //
 // Under the batch layer sits a mechanical-sympathy kernel plane
 // (internal/mat, internal/sched, the quantized tree kernels in
-// internal/ml/tree). Dense linear algebra routes through a swappable
-// mat.Backend — a portable "go" backend and a cache-blocked,
-// register-tiled "blocked" backend selected at build time (-tags
-// matblocked) or at startup (explaind -matbackend); the active backend
-// is reported on /readyz as mat_backend, and both pass one shared parity
-// suite. The weighted least-squares solves at the heart of KernelSHAP
-// and LIME run through SolveWeightedRidgeInto: pooled gram/rhs/factor
-// workspaces and an in-place Cholesky, so a steady-state explanation
-// performs no solver allocation (batched KernelSHAP runs at 6 allocs/op,
-// LIME at 3 — BENCH_PR10.json). Tree ensembles gain an opt-in quantized
-// path (RandomForest/GradientBoosting Quantize): float32 SoA routing
-// slabs with floor-rounded thresholds, swept tree-major over float32 row
-// blocks with 16 rows advanced in lock-step so independent node loads
-// overlap instead of serializing on one row's pointer chase — 1.8x the
-// float64 flat path on a 40-tree forest. The path is contract-gated: the
-// first quantized batch is served exact while a row-by-row probe checks
-// the 1e-6 relative-error bound, any violation permanently falls back,
-// and QuantActive() reports which path is serving. Fan-out across all of
-// it flows through one core-aware worker pool (internal/sched) with
-// per-worker float arenas, configured once (explaind -sched-workers,
-// -sched-pin) instead of per-call-site goroutine spawning.
+// internal/ml/tree, the MLP tile in internal/ml/nn). Dense linear
+// algebra routes through a swappable mat.Backend — a portable "go"
+// backend and a cache-blocked, register-tiled "blocked" backend selected
+// at build time (-tags matblocked) or at startup (explaind -matbackend);
+// the active backend is reported on /readyz as mat_backend, and both
+// pass one shared parity suite. The weighted least-squares solves at the
+// heart of KernelSHAP and LIME run through SolveWeightedRidgeInto:
+// pooled gram/rhs/factor workspaces and an in-place Cholesky, so a
+// steady-state explanation performs no solver allocation (batched
+// KernelSHAP over the forest runs at 6 allocs/op, LIME at 3 —
+// BENCH_PR10.json; MLP KernelSHAP still made ~61,500, about one per
+// evaluated row, until the wrapper change below). The MLP's batch path
+// runs each layer through a 4-row register tile over a transposed weight
+// panel carved from the sched worker arena: four rows share every weight
+// load, and each output keeps Predict's summation order, so batch output
+// stays bit-identical. The standardizing wrapper in front of the MLP and
+// linear models standardizes chunk-wise into worker-arena rows instead
+// of allocating a vector per row; together they make a 1024-coalition
+// MLP KernelSHAP explain about 3x faster (BENCH_PR13.json). Tree
+// ensembles gain an opt-in quantized path (RandomForest/GradientBoosting
+// Quantize): float32 SoA routing slabs with floor-rounded thresholds,
+// swept tree-major over float32 row blocks with 16 rows advanced in
+// lock-step so independent node loads overlap instead of serializing on
+// one row's pointer chase — 1.8x the float64 flat path on a 40-tree
+// forest. The path is contract-gated: the first quantized batch is
+// served exact while a row-by-row probe checks the 1e-6 relative-error
+// bound, any violation permanently falls back, and QuantActive() reports
+// which path is serving. Fan-out across all of it flows through one
+// core-aware worker pool (internal/sched) with per-worker float arenas,
+// configured once (explaind -sched-workers, -sched-pin) instead of
+// per-call-site goroutine spawning.
 //
 // # The durable artifact plane
 //

@@ -63,13 +63,9 @@ func (p *Pipeline) Save() ([]byte, error) {
 	// explicit (scaler, inner-model) pair.
 	inner := p.Model
 	if sm, ok := p.Model.(*scaledModel); ok {
-		std, ok := sm.scaler.(*dataset.StandardScaler)
-		if !ok {
-			return nil, fmt.Errorf("core: save pipeline: unsupported scaler %T", sm.scaler)
-		}
 		w.U8(scalerStandard)
-		w.F64s(std.Mean)
-		w.F64s(std.Std)
+		w.F64s(sm.scaler.Mean)
+		w.F64s(sm.scaler.Std)
 		inner = sm.inner
 	} else {
 		w.U8(scalerNone)

@@ -10,6 +10,7 @@ import (
 	"nfvxai/internal/ml/linear"
 	"nfvxai/internal/ml/nn"
 	"nfvxai/internal/ml/tree"
+	"nfvxai/internal/sched"
 	"nfvxai/internal/xai"
 
 	// The explanation plane is assembled by side effect: every method
@@ -99,27 +100,51 @@ func TrainModel(kind ModelKind, train *dataset.Dataset, seed int64) (ml.Predicto
 	return model, nil
 }
 
-// scaledModel standardizes raw telemetry vectors before delegating to the
-// wrapped model. It implements ml.BatchPredictor so the batched explainer
-// hot paths survive the wrapping: whole perturbation matrices are scaled
-// into one flat buffer and handed to the inner model's batch path.
+// scaledModel lets a model trained on standardized inputs (the MLP,
+// linear and logistic zoo members) take raw telemetry vectors: each
+// input is standardized with the training set's scaler,
+// (x[j]-Mean[j])/Std[j], before it reaches the inner model.
 type scaledModel struct {
 	inner  ml.Predictor
-	scaler dataset.Scaler
+	scaler *dataset.StandardScaler
 }
+
+// scaledChunk is the most rows PredictBatch standardizes and hands to the
+// inner model at once. It equals the MLP's own chunk size, so an inner
+// MLP batch runs on the calling worker instead of fanning out again.
+const scaledChunk = 512
 
 // Predict implements ml.Predictor on raw (unscaled) inputs.
 func (s *scaledModel) Predict(x []float64) float64 {
 	return s.inner.Predict(s.scaler.Transform(x))
 }
 
-// PredictBatch implements ml.BatchPredictor.
+// PredictBatch implements ml.BatchPredictor. Rows are standardized with
+// Predict's expression, in parallel over the shared sched pool, into
+// rows carved from each worker's arena, and each chunk of at most
+// scaledChunk rows goes to the inner model's batch path; a batch
+// allocates one row-header slice per sched chunk, not a vector per row.
 func (s *scaledModel) PredictBatch(X [][]float64, out []float64) {
-	scaled := make([][]float64, len(X))
-	for i, x := range X {
-		scaled[i] = s.scaler.Transform(x)
-	}
-	ml.PredictBatchInto(s.inner, scaled, out)
+	mean, std := s.scaler.Mean, s.scaler.Std
+	p := len(mean)
+	sched.ParallelFor(len(X), scaledChunk, func(wk *sched.Worker, plo, phi int) {
+		buf := wk.Floats(0, scaledChunk*p)
+		rows := make([][]float64, min(scaledChunk, phi-plo))
+		for lo := plo; lo < phi; lo += scaledChunk {
+			hi := min(lo+scaledChunk, phi)
+			for r, x := range X[lo:hi] {
+				if len(x) != p {
+					panic(fmt.Sprintf("core: input width %d != %d", len(x), p))
+				}
+				z := buf[r*p : (r+1)*p]
+				for j, v := range x {
+					z[j] = (v - mean[j]) / std[j]
+				}
+				rows[r] = z
+			}
+			ml.PredictBatchInto(s.inner, rows[:hi-lo], out[lo:hi])
+		}
+	})
 }
 
 // gradModel mirrors intgrad.GradModel so the wrapper can forward
@@ -135,13 +160,11 @@ type gradModel interface {
 // logistic). Inner models without an analytic gradient fall back to
 // central finite differences on the raw input.
 func (s *scaledModel) Gradient(x []float64) []float64 {
-	gm, okInner := s.inner.(gradModel)
-	std, okScaler := s.scaler.(*dataset.StandardScaler)
-	if okInner && okScaler {
+	if gm, ok := s.inner.(gradModel); ok {
 		g := gm.Gradient(s.scaler.Transform(x))
 		out := make([]float64, len(g))
 		for j := range g {
-			out[j] = g[j] / std.Std[j]
+			out[j] = g[j] / s.scaler.Std[j]
 		}
 		return out
 	}

@@ -12,6 +12,7 @@ import (
 	"nfvxai/internal/ml/linear"
 	"nfvxai/internal/ml/nn"
 	"nfvxai/internal/ml/tree"
+	"nfvxai/internal/sched"
 )
 
 // syntheticData builds a nonlinear dataset wide enough to exercise every
@@ -37,7 +38,9 @@ func syntheticData(n int, task dataset.Task, seed int64) *dataset.Dataset {
 	return d
 }
 
-// fittedModels trains one instance of every model in the zoo.
+// fittedModels trains one instance of every model in the zoo, plus MLP
+// variants that take the batch path's other branches: tanh hidden
+// units, a sigmoid output and three hidden layers.
 func fittedModels(t *testing.T) map[string]ml.Predictor {
 	t.Helper()
 	reg := syntheticData(300, dataset.Regression, 7)
@@ -74,11 +77,21 @@ func fittedModels(t *testing.T) map[string]ml.Predictor {
 	}
 	models["gbt"] = gbt
 
-	mlp := &nn.MLP{Hidden: []int{12, 6}, Epochs: 10, Task: dataset.Regression, Seed: 6}
-	if err := mlp.Fit(reg); err != nil {
-		t.Fatal(err)
+	for name, mlp := range map[string]*nn.MLP{
+		"mlp":      {Hidden: []int{12, 6}, Epochs: 10, Task: dataset.Regression, Seed: 6},
+		"mlp-tanh": {Hidden: []int{12, 6}, Act: nn.Tanh, Epochs: 10, Task: dataset.Regression, Seed: 6},
+		"mlp-cls":  {Hidden: []int{12, 6}, Epochs: 10, Task: dataset.Classification, Seed: 6},
+		"mlp-deep": {Hidden: []int{12, 9, 5}, Epochs: 10, Task: dataset.Regression, Seed: 6},
+	} {
+		d := reg
+		if mlp.Task == dataset.Classification {
+			d = cls
+		}
+		if err := mlp.Fit(d); err != nil {
+			t.Fatal(err)
+		}
+		models[name] = mlp
 	}
-	models["mlp"] = mlp
 	return models
 }
 
@@ -86,27 +99,41 @@ func fittedModels(t *testing.T) map[string]ml.Predictor {
 // Predict loop exactly — bit-identical, not just within tolerance — which
 // is what lets the explainer rewrites claim unchanged attributions.
 func TestPredictBatchParity(t *testing.T) {
-	X := syntheticData(700, dataset.Regression, 11).X
+	// The shared pool is sized at first use, which under `go test -cpu
+	// 1,4` happens at GOMAXPROCS=1 and leaves one worker that runs every
+	// batch inline. Give it two so that batches of 1024 rows or more are
+	// split into chunks and dispatched; a one-worker pool never started a
+	// goroutine, so replacing it strands nothing.
+	if sched.Default().Workers() < 2 {
+		sched.Configure(2, false)
+	}
+	// Sizes around the MLP's 4-row tile (the rows%4 tail) and its 512-row
+	// chunk, and sizes the two-worker pool splits into chunks.
+	sizes := []int{1, 3, 5, 511, 513, 700, 1027, 2051}
+	all := syntheticData(sizes[len(sizes)-1], dataset.Regression, 11).X
 	for name, m := range fittedModels(t) {
 		bp, ok := m.(ml.BatchPredictor)
 		if !ok {
 			t.Errorf("%s: does not implement ml.BatchPredictor", name)
 			continue
 		}
-		got := make([]float64, len(X))
-		bp.PredictBatch(X, got)
-		for i, x := range X {
-			if want := m.Predict(x); got[i] != want {
-				t.Fatalf("%s: row %d: PredictBatch %v != Predict %v", name, i, got[i], want)
+		for _, n := range sizes {
+			X := all[:n]
+			got := make([]float64, len(X))
+			bp.PredictBatch(X, got)
+			for i, x := range X {
+				if want := m.Predict(x); got[i] != want {
+					t.Fatalf("%s/%d rows: row %d: PredictBatch %v != Predict %v", name, n, i, got[i], want)
+				}
 			}
-		}
-		// The dispatch helpers must route to the same fast path.
-		viaHelper := ml.PredictBatch(m, X)
-		par := make([]float64, len(X))
-		ml.PredictBatchParallel(m, X, par, 4)
-		for i := range X {
-			if viaHelper[i] != got[i] || par[i] != got[i] {
-				t.Fatalf("%s: row %d: helper dispatch mismatch", name, i)
+			// The dispatch helpers must route to the same fast path.
+			viaHelper := ml.PredictBatch(m, X)
+			par := make([]float64, len(X))
+			ml.PredictBatchParallel(m, X, par, 4)
+			for i := range X {
+				if viaHelper[i] != got[i] || par[i] != got[i] {
+					t.Fatalf("%s/%d rows: row %d: helper dispatch mismatch", name, n, i)
+				}
 			}
 		}
 	}

@@ -275,25 +275,33 @@ const batchChunk = 512
 // PredictBatch implements ml.BatchPredictor with a layer-wise forward
 // pass: instead of allocating a fresh activation stack per row (what
 // Predict does), each chunk advances through each weight matrix together
-// — one matrix-matrix product per layer over two reused buffers. Chunks
-// are distributed over the shared sched pool, with the two activation
-// buffers carved from each worker's arena so steady-state batches stop
+// over two reused activation buffers. Within a layer, rows go through a
+// register tile four at a time (forwardTile): the layer's weights are
+// transposed into a panel so that each output's weights are contiguous,
+// and each weight load feeds four independent sums instead of one sum
+// whose every add waits on the previous one. Every sum is formed exactly
+// as forward forms it — bias first, then inputs in ascending order, with
+// the same z += x*w statement — and the rows%4 tail runs forward's loop,
+// so outputs stay bit-identical to Predict. Chunks are distributed over
+// the shared sched pool, with the activation buffers and the panel
+// carved from each worker's arena so steady-state batches stop
 // allocating. Rows are independent and each chunk writes only its own
-// out range, so outputs stay bit-identical to Predict regardless of
-// worker count.
+// out range, so the result does not depend on the worker count.
 func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 	if len(m.weights) == 0 {
 		panic("nn: PredictBatch before Fit")
 	}
-	maxDim := 0
-	for _, w := range m.dims {
-		if w > maxDim {
-			maxDim = w
+	maxDim, maxPanel := 0, 0
+	for l, w := range m.dims {
+		maxDim = max(maxDim, w)
+		if l > 0 {
+			maxPanel = max(maxPanel, m.dims[l-1]*w)
 		}
 	}
 	sched.ParallelFor(len(X), batchChunk, func(wk *sched.Worker, plo, phi int) {
 		cur := wk.Floats(0, batchChunk*maxDim)
 		nxt := wk.Floats(1, batchChunk*maxDim)
+		panel := wk.Floats(2, maxPanel)
 		for lo := plo; lo < phi; lo += batchChunk {
 			hi := lo + batchChunk
 			if hi > phi {
@@ -310,7 +318,17 @@ func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 			for l, w := range m.weights {
 				in, outW := m.dims[l], m.dims[l+1]
 				last := l == len(m.weights)-1
-				for r := 0; r < rows; r++ {
+				wt := panel[:in*outW]
+				for i := 0; i < in; i++ {
+					for j := 0; j < outW; j++ {
+						wt[j*in+i] = w[i*outW+j]
+					}
+				}
+				r := 0
+				for ; r+4 <= rows; r += 4 {
+					m.forwardTile(cur[r*maxDim:], nxt[r*maxDim:], maxDim, in, wt, w[in*outW:], last)
+				}
+				for ; r < rows; r++ {
 					src := cur[r*maxDim : r*maxDim+in]
 					dst := nxt[r*maxDim : r*maxDim+outW]
 					for j := 0; j < outW; j++ {
@@ -336,6 +354,35 @@ func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 			}
 		}
 	})
+}
+
+// forwardTile advances four rows, stride apart in src, through one layer
+// into the rows of dst at the same stride. wt is the layer's
+// transposed weight panel, output j's in weights at wt[j*in:], and bias
+// its bias row. Each row's sum is formed as forward forms it, so the
+// tile's outputs are bit-identical to forward's.
+func (m *MLP) forwardTile(src, dst []float64, stride, in int, wt, bias []float64, last bool) {
+	s0 := src[:in]
+	s1 := src[stride:][:in]
+	s2 := src[2*stride:][:in]
+	s3 := src[3*stride:][:in]
+	for j, b := range bias {
+		col := wt[j*in:][:in]
+		z0, z1, z2, z3 := b, b, b, b
+		for i, w := range col {
+			z0 += s0[i] * w
+			z1 += s1[i] * w
+			z2 += s2[i] * w
+			z3 += s3[i] * w
+		}
+		if !last {
+			z0, z1, z2, z3 = m.activate(z0), m.activate(z1), m.activate(z2), m.activate(z3)
+		}
+		dst[j] = z0
+		dst[stride+j] = z1
+		dst[2*stride+j] = z2
+		dst[3*stride+j] = z3
+	}
 }
 
 // Gradient returns ∂Predict/∂x at x — for classification the gradient of

@@ -48,6 +48,16 @@ go build ./...
 step test
 go test ./...
 
+step "batch parity at 1 and 4 cores (inline and sched-dispatched chunks)"
+go test -cpu 1,4 -run 'Parity|Scaled' ./internal/ml/... ./internal/core/
+
+step "race (scheduler + scaled wrapper)"
+go test -race ./internal/sched/
+go test -race -run 'TestScaledModelPredictBatch' ./internal/core/
+
+step "explainbench module (nested; root go test ./... skips it)"
+(cd explainbench && go vet ./... && go test ./...)
+
 step "chaos smoke (fault-injected store + feeds + cluster node-down under -race)"
 go test -race -timeout 5m ./internal/chaos
 
