@@ -140,8 +140,6 @@ func main() {
 			"(go | blocked); default: the build-tag default. The active backend is reported on /readyz.")
 		schedWorkers = flag.Int("sched-workers", 0, "shared kernel worker-pool size (0 = GOMAXPROCS); "+
 			"bounds batch predict/explain fan-out process-wide")
-		schedPin = flag.Bool("sched-pin", false, "pin kernel pool workers to OS threads (steadier tail "+
-			"latency on dedicated cores at the cost of scheduler flexibility)")
 	)
 	flag.Var(&raw, "model", "scenario:model:target[:hours] spec; repeat to serve several models. "+
 		"A bare kind (e.g. just \"rf\") combines with -scenario/-target, matching the pre-v1 CLI.")
@@ -149,20 +147,20 @@ func main() {
 		"rate is virtual seconds per wall second (default 60).")
 	flag.Parse()
 
-	// Kernel plane: select the dense-kernel backend and size (optionally
-	// pin) the shared worker pool before any model trains, so every
-	// computation in the process runs on the configured plane.
+	// Kernel plane: select the dense-kernel backend and size the shared
+	// worker pool before any model trains, so every computation in the
+	// process runs on the configured plane.
 	if *matBackend != "" {
 		if err := mat.Use(*matBackend); err != nil {
 			fmt.Fprintln(os.Stderr, "explaind:", err)
 			os.Exit(2)
 		}
 	}
-	if *schedWorkers > 0 || *schedPin {
-		sched.Configure(*schedWorkers, *schedPin)
+	if *schedWorkers > 0 {
+		sched.Configure(*schedWorkers, false)
 	}
-	log.Printf("kernel plane: mat backend %s, sched workers %d (pin %v)",
-		mat.Active().Name(), *schedWorkers, *schedPin)
+	log.Printf("kernel plane: mat backend %s, sched workers %d",
+		mat.Active().Name(), sched.Default().Workers())
 
 	if len(raw) == 0 {
 		raw = stringList{"rf"}

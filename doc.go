@@ -104,9 +104,13 @@
 // served exact while a row-by-row probe checks the 1e-6 relative-error
 // bound, any violation permanently falls back, and QuantActive() reports
 // which path is serving. Fan-out across all of it flows through one
-// core-aware worker pool (internal/sched) with per-worker float arenas,
-// configured once (explaind -sched-workers, -sched-pin) instead of
-// per-call-site goroutine spawning.
+// pool of worker contexts (internal/sched) with per-worker float arenas,
+// sized once (explaind -sched-workers) instead of per-call-site goroutine
+// spawning. Its helpers are call-scoped: ParallelFor borrows idle
+// contexts, runs a goroutine per context beside the caller and waits for
+// them, so no goroutine outlives the call that started it and the pool
+// needs no shutdown; the -sched-pin flag went with the long-lived
+// workers it pinned.
 //
 // # The durable artifact plane
 //

@@ -13,7 +13,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"nfvxai/internal/xai"
@@ -176,24 +175,11 @@ func (p *Pipeline) ExplainBatchWith(ctx context.Context, e xai.Explainer, method
 		return attrs, errs, st
 	}
 	outcomes := make([]xcache.Outcome, len(xs))
-	var wg sync.WaitGroup
-	for _, i := range miss {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case gate <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			defer func() { <-gate }()
-			attrs[i], outcomes[i], errs[i] = p.ResultCache.Do(ctx, keys[i], func(ctx context.Context) (xai.Attribution, error) {
-				return e.Explain(ctx, xs[i])
-			})
-		}(i)
-	}
-	wg.Wait()
+	xai.GatedEach(ctx, gate, miss, errs, func(i int) {
+		attrs[i], outcomes[i], errs[i] = p.ResultCache.Do(ctx, keys[i], func(ctx context.Context) (xai.Attribution, error) {
+			return e.Explain(ctx, xs[i])
+		})
+	})
 	for _, i := range miss {
 		switch outcomes[i] {
 		case xcache.OutcomeHit, xcache.OutcomeCoalesced:

@@ -324,16 +324,6 @@ func (p *Pipeline) ExplainInstance(ctx context.Context, x []float64) (xai.Attrib
 	return attr, method, err
 }
 
-// ExplainBatch attributes a batch of instances using the cached default
-// explainer, fanning out over a worker pool. Attributions come back in
-// input order; method names the explainer used. workers <= 0 selects
-// GOMAXPROCS.
-func (p *Pipeline) ExplainBatch(ctx context.Context, xs [][]float64, workers int) ([]xai.Attribution, string, error) {
-	e, method := p.Explainer()
-	attrs, err := xai.ExplainBatch(ctx, e, xs, workers)
-	return attrs, method, err
-}
-
 // GlobalImportance aggregates |SHAP| over n test instances into a global
 // profile, alongside permutation importance for cross-validation of the
 // ranking. The model and test set are frozen after training, so the result
@@ -384,7 +374,7 @@ func (p *Pipeline) globalImportance(ctx context.Context, n int, onProgress func(
 		if hi > n {
 			hi = n
 		}
-		part, err := xai.ExplainBatch(ctx, e, p.Test.X[lo:hi], 0)
+		part, err := xai.ExplainBatch(ctx, e, p.Test.X[lo:hi])
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: explaining instances %d..%d: %w", lo, hi-1, err)
 		}

@@ -35,8 +35,7 @@ func kernelRows(rng *rand.Rand, x []float64, background [][]float64, n int) [][]
 // KernelSHAP-sized batch allocates per chunk rather than per row.
 func TestScaledModelPredictBatch(t *testing.T) {
 	// The pool is sized at first use, at GOMAXPROCS=1 under -cpu 1,4;
-	// give it workers so the larger batches are dispatched in chunks. A
-	// one-worker pool never starts a goroutine, so nothing is stranded.
+	// give it workers so the larger batches are dispatched in chunks.
 	if sched.Default().Workers() < 2 {
 		sched.Configure(2, false)
 	}

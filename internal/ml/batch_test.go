@@ -102,8 +102,7 @@ func TestPredictBatchParity(t *testing.T) {
 	// The shared pool is sized at first use, which under `go test -cpu
 	// 1,4` happens at GOMAXPROCS=1 and leaves one worker that runs every
 	// batch inline. Give it two so that batches of 1024 rows or more are
-	// split into chunks and dispatched; a one-worker pool never started a
-	// goroutine, so replacing it strands nothing.
+	// split into chunks and dispatched.
 	if sched.Default().Workers() < 2 {
 		sched.Configure(2, false)
 	}

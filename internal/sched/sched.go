@@ -1,19 +1,24 @@
 // Package sched is the shared compute pool behind every data-parallel
 // hot loop: generic batch prediction, forest/GBT ensemble sharding, and
-// the xai batch plane all fan out through one set of persistent workers
-// instead of each spawning its own GOMAXPROCS goroutines. That solves
-// the composition problem the ad-hoc fan-outs had — a KernelSHAP explain
-// inside a batch explain inside a serving goroutine no longer multiplies
-// goroutine counts — and gives every worker a reusable arena so
-// per-chunk scratch stops hitting the heap.
+// the xai batch plane all fan out through one pool instead of each
+// spawning its own GOMAXPROCS goroutines. That solves the composition
+// problem the ad-hoc fan-outs had — a KernelSHAP explain inside a batch
+// explain inside a serving goroutine no longer multiplies goroutine
+// counts — and gives every worker a reusable arena so per-chunk scratch
+// stops hitting the heap.
 //
-// Deadlock-freedom: chunks go onto one shared queue, and ParallelFor's
-// caller *participates* — it executes chunks (its own or other calls')
-// while waiting for its call to drain. A worker that re-enters
-// ParallelFor from inside a chunk therefore makes progress even when
-// every pool worker is busy: the nested call's chunks run inline on the
-// spot when the queue is full, and the waiting parent keeps stealing
-// work instead of blocking. No goroutine ever parks while holding work.
+// Helpers are call-scoped. A pool holds Workers() idle Worker contexts,
+// arenas included, in a buffered channel; ParallelFor borrows whichever
+// are idle without blocking, starts one goroutine per borrowed context,
+// and waits for them before it returns. No goroutine started here
+// outlives the call that started it, so a pool needs no shutdown, and
+// because a pool owns exactly Workers() contexts, at most that many
+// helpers run at once however calls overlap or nest.
+//
+// Deadlock-freedom: the caller claims chunks alongside its helpers, and
+// nothing ever waits for a context. A nested call that finds every
+// context lent out (its parent's helpers hold them) runs all of its
+// chunks inline on the spot.
 //
 // Determinism: chunks are contiguous index ranges and each chunk writes
 // only its own range, so execution order never affects results — the
@@ -27,16 +32,10 @@ import (
 )
 
 // Worker is the per-goroutine execution context handed to every chunk:
-// a stable ID and a small arena of reusable scratch slices keyed by
-// slot, so kernels can carve per-chunk buffers without allocating in
-// steady state.
+// a small arena of reusable scratch slices keyed by slot, so kernels can
+// carve per-chunk buffers without allocating in steady state. Two chunks
+// of one call can run on the same Worker.
 type Worker struct {
-	// ID is the worker's index (pool workers count up from 0; helper
-	// contexts minted for participating callers use fresh IDs above the
-	// pool size). Chunks must not use ID to partition shared state —
-	// two chunks of one call can run on the same worker.
-	ID int
-
 	f64 [][]float64
 	f32 [][]float32
 }
@@ -69,55 +68,22 @@ func (w *Worker) Floats32(slot, n int) []float32 {
 	return w.f32[slot]
 }
 
-// chunk is one unit of queued work: fn over [lo, hi) on behalf of call c.
-type chunk struct {
-	fn     func(w *Worker, lo, hi int)
-	lo, hi int
-	c      *call
-}
-
-// call tracks one ParallelFor invocation across its chunks.
-type call struct {
-	pending atomic.Int64
-	done    chan struct{}
-}
-
-func (c *call) finish(n int64) {
-	if c.pending.Add(-n) == 0 {
-		close(c.done)
-	}
-}
-
-// Pool is a fixed set of persistent workers draining one chunk queue.
+// Pool bounds the helpers that ParallelFor calls may borrow.
 type Pool struct {
-	workers int
-	pin     bool
-	queue   chan chunk
-	start   sync.Once
-	helper  sync.Pool // *Worker contexts for participating callers
-	nextID  atomic.Int64
+	idle   chan *Worker // helper contexts not lent to a call; cap is the pool size
+	helper sync.Pool    // *Worker contexts for participating callers
 }
 
-// New builds a pool of n workers (n <= 0 selects GOMAXPROCS). pin locks
-// each worker goroutine to an OS thread, which steadies tail latency on
-// dedicated cores at the cost of scheduler flexibility; serving setups
-// enable it explicitly (explaind -sched-pin). Workers start lazily on
-// first use.
-func New(n int, pin bool) *Pool {
+// New builds a pool of n helper contexts (n <= 0 selects GOMAXPROCS).
+func New(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		workers: n,
-		pin:     pin,
-		// 4 chunks of headroom per worker: deep enough to keep workers
-		// fed, shallow enough that nested calls overflow to inline
-		// execution instead of queuing behind their parents.
-		queue: make(chan chunk, 4*n),
+	p := &Pool{idle: make(chan *Worker, n)}
+	for i := 0; i < n; i++ {
+		p.idle <- new(Worker)
 	}
-	p.helper.New = func() any {
-		return &Worker{ID: int(p.nextID.Add(1)) + p.workers - 1}
-	}
+	p.helper.New = func() any { return new(Worker) }
 	return p
 }
 
@@ -126,8 +92,8 @@ var (
 	configureMu sync.Mutex
 )
 
-// Default returns the process-wide pool, creating an unpinned
-// GOMAXPROCS-sized one on first use.
+// Default returns the process-wide pool, creating a GOMAXPROCS-sized
+// one on first use.
 func Default() *Pool {
 	if p := defaultPool.Load(); p != nil {
 		return p
@@ -137,53 +103,33 @@ func Default() *Pool {
 	if p := defaultPool.Load(); p != nil {
 		return p
 	}
-	p := New(0, false)
+	p := New(0)
 	defaultPool.Store(p)
 	return p
 }
 
-// Configure replaces the default pool (size and pinning) before or
-// after first use; in-flight calls on the old pool complete normally.
-// explaind calls this at startup when -sched-pin is set.
+// Configure replaces the default pool with one of the given size
+// (workers <= 0 selects GOMAXPROCS), before or after first use; calls
+// in flight on the old pool finish on it. pin is ignored: helpers live
+// only as long as one call, so there is no long-lived goroutine to lock
+// to an OS thread.
 func Configure(workers int, pin bool) {
 	configureMu.Lock()
 	defer configureMu.Unlock()
-	defaultPool.Store(New(workers, pin))
-}
-
-func (p *Pool) startWorkers() {
-	p.start.Do(func() {
-		for i := 0; i < p.workers; i++ {
-			go p.worker(i)
-		}
-	})
-}
-
-func (p *Pool) worker(id int) {
-	if p.pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	w := &Worker{ID: id}
-	for ch := range p.queue {
-		ch.fn(w, ch.lo, ch.hi)
-		ch.c.finish(1)
-	}
+	defaultPool.Store(New(workers))
 }
 
 // Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
-// Pinned reports whether workers are locked to OS threads.
-func (p *Pool) Pinned() bool { return p.pin }
+func (p *Pool) Workers() int { return cap(p.idle) }
 
 // ParallelFor runs fn over contiguous chunks covering [0, n). minChunk
 // bounds the smallest chunk worth dispatching (<= 0 selects 1): work
 // below 2×minChunk runs inline on the caller. fn must treat [lo, hi) as
-// its exclusive write range. The caller's goroutine participates in
-// execution, so ParallelFor may be called from inside a chunk (nested
-// parallel layers compose instead of deadlocking); fn must therefore
-// not hold locks that another chunk of the same call might take.
+// its exclusive write range. The caller's goroutine claims chunks too,
+// so ParallelFor may be called from inside a chunk (nested parallel
+// layers compose instead of deadlocking); fn must therefore not hold
+// locks that another chunk of the same call might take. Every helper
+// goroutine has finished by the time ParallelFor returns.
 func (p *Pool) ParallelFor(n, minChunk int, fn func(w *Worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -191,58 +137,47 @@ func (p *Pool) ParallelFor(n, minChunk int, fn func(w *Worker, lo, hi int)) {
 	if minChunk <= 0 {
 		minChunk = 1
 	}
-	if n < 2*minChunk || p.workers <= 1 {
-		w := p.helper.Get().(*Worker)
+	w := p.helper.Get().(*Worker)
+	defer p.helper.Put(w)
+	workers := cap(p.idle)
+	if n < 2*minChunk || workers <= 1 {
 		fn(w, 0, n)
-		p.helper.Put(w)
 		return
 	}
-	p.startWorkers()
 	// Chunk size: enough chunks for the pool plus the caller, floored at
 	// minChunk so tiny tails don't become dispatch overhead.
-	size := (n + p.workers) / (p.workers + 1)
+	size := (n + workers) / (workers + 1)
 	if size < minChunk {
 		size = minChunk
 	}
-	nChunks := int64((n + size - 1) / size)
-	c := &call{done: make(chan struct{})}
-	c.pending.Store(nChunks)
-
-	w := p.helper.Get().(*Worker)
-	defer p.helper.Put(w)
-
-	// Enqueue every chunk past the first; a full queue means the pool is
-	// saturated (e.g. a nested call), so the overflow chunk runs inline
-	// on the caller instead of queuing behind its own parent.
-	var executed int64
-	for lo := size; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
+	var next atomic.Int64
+	claim := func(w *Worker) {
+		for {
+			lo := int(next.Add(int64(size))) - size
+			if lo >= n {
+				return
+			}
+			fn(w, lo, min(lo+size, n))
 		}
+	}
+	var wg sync.WaitGroup
+	// One helper per chunk past the caller's, as far as idle contexts go.
+borrow:
+	for i := size; i < n; i += size {
 		select {
-		case p.queue <- chunk{fn: fn, lo: lo, hi: hi, c: c}:
+		case h := <-p.idle:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				claim(h)
+				p.idle <- h
+			}()
 		default:
-			fn(w, lo, hi)
-			executed++
+			break borrow
 		}
 	}
-	// The caller always takes the head chunk itself.
-	fn(w, 0, size)
-	executed++
-	c.finish(executed)
-
-	// Help until this call drains: execute whatever chunk is next in the
-	// queue (ours or another call's) rather than parking.
-	for {
-		select {
-		case <-c.done:
-			return
-		case ch := <-p.queue:
-			ch.fn(w, ch.lo, ch.hi)
-			ch.c.finish(1)
-		}
-	}
+	claim(w)
+	wg.Wait()
 }
 
 // ParallelFor runs fn over the default pool; see Pool.ParallelFor.

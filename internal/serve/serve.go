@@ -1045,24 +1045,16 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name stri
 		var evals []*Evaluation
 		if req.Evaluate {
 			evals = make([]*Evaluation, len(attrs))
-			var wg sync.WaitGroup
+			var explained []int
 			for i := range attrs {
-				if errs[i] != nil {
-					continue
+				if errs[i] == nil {
+					explained = append(explained, i)
 				}
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					select {
-					case s.gate <- struct{}{}:
-					case <-ctx.Done():
-						return // abandoned request: leave evals[i] nil
-					}
-					defer func() { <-s.gate }()
-					evals[i] = evaluateAttr(p, attrs[i], req.Instances[i], method)
-				}(i)
 			}
-			wg.Wait()
+			// An abandoned request leaves evals[i] nil.
+			xai.GatedEach(ctx, s.gate, explained, nil, func(i int) {
+				evals[i] = evaluateAttr(p, attrs[i], req.Instances[i], method)
+			})
 		}
 		resp := BatchExplainResponse{Method: method, Count: len(attrs), Failed: failed}
 		if p.ResultCache != nil {

@@ -12,20 +12,18 @@ import (
 // out over the shared sched pool. Attributions are returned in input
 // order. The explainer must be safe for concurrent use (the repository's
 // explainers are: they keep no mutable state across Explain calls).
-// workers is retained for API compatibility but ignored: the shared
-// pool's size (sched.Configure) governs fan-out, and an explainer whose
-// inner hot loops also use the pool composes with this outer layer
-// instead of multiplying goroutines.
+// The shared pool's size (sched.Configure) governs fan-out, and an
+// explainer whose inner hot loops also use the pool composes with this
+// outer layer instead of multiplying goroutines.
 //
 // All instances are attempted even when some fail; the first error (by
 // input order) is returned alongside the successful attributions, with
 // the failed slots left as zero values. When ctx is cancelled mid-batch,
 // unstarted instances are skipped with the context error.
-func ExplainBatch(ctx context.Context, e Explainer, xs [][]float64, workers int) ([]Attribution, error) {
+func ExplainBatch(ctx context.Context, e Explainer, xs [][]float64) ([]Attribution, error) {
 	if len(xs) == 0 {
 		return nil, nil
 	}
-	_ = workers
 	attrs := make([]Attribution, len(xs))
 	errs := make([]error, len(xs))
 	sched.ParallelFor(len(xs), 1, func(w *sched.Worker, lo, hi int) {
@@ -63,23 +61,41 @@ func ExplainBatchGatedErrs(ctx context.Context, e Explainer, xs [][]float64, gat
 	}
 	attrs := make([]Attribution, len(xs))
 	errs := make([]error, len(xs))
+	idx := make([]int, len(xs))
+	for i := range idx {
+		idx[i] = i
+	}
+	GatedEach(ctx, gate, idx, errs, func(i int) {
+		attrs[i], errs[i] = e.Explain(ctx, xs[i])
+	})
+	return attrs, errs
+}
+
+// GatedEach calls fn(i) for every i in idx, each on its own goroutine
+// that holds one slot of gate while fn runs, and returns once all of
+// them have finished. gate is a semaphore shared across callers, so
+// concurrent batches share cap(gate) slots. An item still waiting for a
+// slot when ctx is done is abandoned: fn never runs for it, and errs[i]
+// is set to ctx.Err() when errs is non-nil.
+func GatedEach(ctx context.Context, gate chan struct{}, idx []int, errs []error, fn func(i int)) {
 	var wg sync.WaitGroup
-	for i := range xs {
+	for _, i := range idx {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			select {
 			case gate <- struct{}{}:
 			case <-ctx.Done():
-				errs[i] = ctx.Err()
+				if errs != nil {
+					errs[i] = ctx.Err()
+				}
 				return
 			}
 			defer func() { <-gate }()
-			attrs[i], errs[i] = e.Explain(ctx, xs[i])
-		}(i)
+			fn(i)
+		}()
 	}
 	wg.Wait()
-	return attrs, errs
 }
 
 func firstError(errs []error) error {

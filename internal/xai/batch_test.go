@@ -26,27 +26,25 @@ func TestExplainBatchOrderAndValues(t *testing.T) {
 	for i := range xs {
 		xs[i] = []float64{float64(i), 1}
 	}
-	for _, workers := range []int{0, 1, 4, 100} {
-		attrs, err := ExplainBatch(context.Background(), sumExplainer{}, xs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	attrs, err := ExplainBatch(context.Background(), sumExplainer{}, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(attrs) != len(xs) {
+		t.Fatalf("got %d attributions", len(attrs))
+	}
+	for i, a := range attrs {
+		if want := float64(i) + 1; a.Value != want {
+			t.Fatalf("attrs[%d].Value = %v want %v", i, a.Value, want)
 		}
-		if len(attrs) != len(xs) {
-			t.Fatalf("workers=%d: got %d attributions", workers, len(attrs))
-		}
-		for i, a := range attrs {
-			if want := float64(i) + 1; a.Value != want {
-				t.Fatalf("workers=%d: attrs[%d].Value = %v want %v", workers, i, a.Value, want)
-			}
-			if a.Phi[0] != float64(i) {
-				t.Fatalf("workers=%d: attrs[%d] out of order", workers, i)
-			}
+		if a.Phi[0] != float64(i) {
+			t.Fatalf("attrs[%d] out of order", i)
 		}
 	}
 }
 
 func TestExplainBatchEmpty(t *testing.T) {
-	attrs, err := ExplainBatch(context.Background(), sumExplainer{}, nil, 4)
+	attrs, err := ExplainBatch(context.Background(), sumExplainer{}, nil)
 	if err != nil || attrs != nil {
 		t.Fatalf("empty batch: %v, %v", attrs, err)
 	}
@@ -84,7 +82,7 @@ func TestExplainBatchGated(t *testing.T) {
 
 func TestExplainBatchError(t *testing.T) {
 	xs := [][]float64{{1}, {}, {3}}
-	attrs, err := ExplainBatch(context.Background(), sumExplainer{}, xs, 2)
+	attrs, err := ExplainBatch(context.Background(), sumExplainer{}, xs)
 	if err == nil {
 		t.Fatal("want error for empty instance")
 	}

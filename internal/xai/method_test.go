@@ -170,7 +170,7 @@ func TestExplainBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	xs := [][]float64{{1}, {2}, {3}}
-	_, err := ExplainBatch(ctx, blockingExplainer{}, xs, 1)
+	_, err := ExplainBatch(ctx, blockingExplainer{}, xs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch: %v", err)
 	}

@@ -171,7 +171,7 @@ func TestConcurrentExplainAndPredictBatch(t *testing.T) {
 			rf.PredictBatch(bg, out)
 		}
 	}()
-	attrs, err := xai.ExplainBatch(context.Background(), k, xs, 4)
+	attrs, err := xai.ExplainBatch(context.Background(), k, xs)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)

@@ -51,6 +51,13 @@ go test ./...
 step "batch parity at 1 and 4 cores (inline and sched-dispatched chunks)"
 go test -cpu 1,4 -run 'Parity|Scaled' ./internal/ml/... ./internal/core/
 
+# The sched pool is sized once per process, so -cpu 1,4 never dispatches
+# at 4 once the 1-CPU pass has sized it; each GOMAXPROCS needs its own run.
+step "leak-checked packages at GOMAXPROCS 1 and 4"
+leakpkgs="./internal/serve/ ./internal/experiment/ ./internal/feed/ ./internal/registry/ ./internal/chaos/ ./internal/cluster/ ./internal/sched/ ./internal/xai/xcache/"
+GOMAXPROCS=1 go test -count=1 $leakpkgs
+GOMAXPROCS=4 go test -count=1 $leakpkgs
+
 step "race (scheduler + scaled wrapper)"
 go test -race ./internal/sched/
 go test -race -run 'TestScaledModelPredictBatch' ./internal/core/
