@@ -85,7 +85,6 @@ import (
 	"nfvxai/internal/cluster"
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/feed"
-	"nfvxai/internal/mat"
 	"nfvxai/internal/registry"
 	"nfvxai/internal/sched"
 	"nfvxai/internal/serve"
@@ -136,8 +135,6 @@ func main() {
 			"evicted by byte pressure or their artifact digest is swapped out)")
 		cacheTier2 = flag.Bool("cache-tier2", false, "persist hot cache entries under -store (DIR/xcache) so a "+
 			"restarted or newly joined node serves explanations computed by the previous process or the fleet; needs -store")
-		matBackend = flag.String("matbackend", "", "dense-kernel backend for the explainer hot loops "+
-			"(go | blocked); default: the build-tag default. The active backend is reported on /readyz.")
 		schedWorkers = flag.Int("sched-workers", 0, "shared kernel worker-pool size (0 = GOMAXPROCS); "+
 			"bounds batch predict/explain fan-out process-wide")
 	)
@@ -147,20 +144,12 @@ func main() {
 		"rate is virtual seconds per wall second (default 60).")
 	flag.Parse()
 
-	// Kernel plane: select the dense-kernel backend and size the shared
-	// worker pool before any model trains, so every computation in the
-	// process runs on the configured plane.
-	if *matBackend != "" {
-		if err := mat.Use(*matBackend); err != nil {
-			fmt.Fprintln(os.Stderr, "explaind:", err)
-			os.Exit(2)
-		}
-	}
+	// Kernel plane: size the shared worker pool before any model trains,
+	// so every computation in the process runs on the configured pool.
 	if *schedWorkers > 0 {
 		sched.Configure(*schedWorkers, false)
 	}
-	log.Printf("kernel plane: mat backend %s, sched workers %d",
-		mat.Active().Name(), sched.Default().Workers())
+	log.Printf("kernel plane: sched workers %d", sched.Default().Workers())
 
 	if len(raw) == 0 {
 		raw = stringList{"rf"}

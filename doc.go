@@ -77,17 +77,14 @@
 // Under the batch layer sits a mechanical-sympathy kernel plane
 // (internal/mat, internal/sched, the quantized tree kernels in
 // internal/ml/tree, the MLP tile in internal/ml/nn). Dense linear
-// algebra routes through a swappable mat.Backend — a portable "go"
-// backend and a cache-blocked, register-tiled "blocked" backend selected
-// at build time (-tags matblocked) or at startup (explaind -matbackend);
-// the active backend is reported on /readyz as mat_backend, and both
-// pass one shared parity suite. The weighted least-squares solves at the
-// heart of KernelSHAP and LIME run through SolveWeightedRidgeInto:
-// pooled gram/rhs/factor workspaces and an in-place Cholesky, so a
-// steady-state explanation performs no solver allocation (batched
-// KernelSHAP over the forest runs at 6 allocs/op, LIME at 3 —
-// BENCH_PR10.json; MLP KernelSHAP still made ~61,500, about one per
-// evaluated row, until the wrapper change below). The MLP's batch path
+// algebra is one set of plain loops in internal/mat. The weighted
+// least-squares solves at the heart of linear regression (unit weights),
+// KernelSHAP and LIME run through SolveWeightedRidgeInto: pooled
+// gram/rhs workspaces and an in-place Cholesky with a QR fallback for
+// singular systems, so a steady-state explanation performs no solver
+// allocation (batched KernelSHAP over the forest runs at 6 allocs/op,
+// LIME at 3 — BENCH_PR10.json; MLP KernelSHAP still made ~61,500, about
+// one per evaluated row, until the wrapper change below). The MLP's batch path
 // runs each layer through a 4-row register tile over a transposed weight
 // panel carved from the sched worker arena: four rows share every weight
 // load, and each output keeps Predict's summation order, so batch output

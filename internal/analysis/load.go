@@ -3,14 +3,12 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -191,11 +189,8 @@ func (l *Loader) dirFor(path string) (string, error) {
 	return filepath.Join(l.ModRoot, filepath.FromSlash(rel)), nil
 }
 
-// goFilesIn lists buildable Go file names in dir, sorted. Files whose
-// //go:build constraint is unsatisfied under the default configuration
-// (host GOOS/GOARCH, no extra tags) are skipped — without this, a
-// tag-gated pair like mat's default_go.go / default_blocked.go would
-// type-check as a redeclaration.
+// goFilesIn lists the Go file names in dir, sorted. The tree carries no
+// //go:build constraints, so every file belongs to the default build.
 func goFilesIn(dir string, includeTests bool) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -210,43 +205,10 @@ func goFilesIn(dir string, includeTests bool) ([]string, error) {
 		if !includeTests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if !buildIncluded(filepath.Join(dir, name)) {
-			continue
-		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// buildIncluded evaluates a file's //go:build line (the modern form
-// only; the repo carries no legacy +build lines) against the default
-// build: host GOOS/GOARCH, toolchain release tags, no custom tags. A
-// file with no constraint, or an unreadable one, is included — the
-// type-checker will say the rest.
-func buildIncluded(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return true
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
-		if err != nil {
-			return true
-		}
-		return expr.Eval(func(tag string) bool {
-			return tag == runtime.GOOS || tag == runtime.GOARCH ||
-				tag == runtime.Compiler || strings.HasPrefix(tag, "go1.")
-		})
-	}
-	return true
 }
 
 // samePackageFiles keeps the files sharing the non-_test package clause

@@ -1,8 +1,10 @@
-// Package mat provides the small dense linear-algebra kernel used by the
-// machine-learning and explanation packages. It is deliberately minimal:
-// row-major dense matrices, the factorizations needed for least squares
-// (Cholesky, QR), and the handful of BLAS-1/2/3 style operations the rest
-// of the repository needs. Everything is float64 and single-goroutine.
+// Package mat provides the small dense linear-algebra kernels used by the
+// machine-learning and explanation packages: row-major dense matrices,
+// the weighted ridge solve behind linear regression, LIME and KernelSHAP
+// (normal equations factored by an in-place Cholesky, with a Householder
+// QR least-squares fallback for singular systems), and HybridRow, the
+// masked row assembly of KernelSHAP's coalition evaluator. Everything is
+// float64 and single-goroutine.
 package mat
 
 import (
@@ -39,15 +41,6 @@ func NewDenseData(rows, cols int, data []float64) *Dense {
 	return &Dense{rows: rows, cols: cols, data: data}
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // Dims returns the matrix dimensions.
 func (m *Dense) Dims() (rows, cols int) { return m.rows, m.cols }
 
@@ -79,110 +72,12 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	//lint:allow poolalloc result escapes to the caller; a copy is the contract
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	//lint:allow poolalloc clone by definition allocates its own backing
 	d := make([]float64, len(m.data))
 	copy(d, m.data)
 	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product a*b. Hot paths should prefer MulInto
-// with a pooled destination; Mul allocates the result.
-func Mul(a, b *Dense) *Dense {
-	return MulInto(a, b, NewDense(a.rows, b.cols))
-}
-
-// MulInto computes dst = a*b through the active kernel backend, reusing
-// the caller-provided destination (dst must be a.rows × b.cols, and may
-// not alias a or b). It returns dst.
-func MulInto(a, b, dst *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	if dst.rows != a.rows || dst.cols != b.cols {
-		panic(fmt.Sprintf("mat: MulInto destination is %dx%d, want %dx%d", dst.rows, dst.cols, a.rows, b.cols))
-	}
-	Active().Gemm(a.rows, b.cols, a.cols, a.data, b.data, dst.data)
-	return dst
-}
-
-// MulVec returns the matrix-vector product m*x. Hot paths should prefer
-// MulVecInto with a pooled destination; MulVec allocates the result.
-func (m *Dense) MulVec(x []float64) []float64 {
-	//lint:allow poolalloc result escapes to the caller; pooled callers use MulVecInto
-	out := make([]float64, m.rows)
-	m.MulVecInto(x, out)
-	return out
-}
-
-// MulVecInto computes dst = m*x through the active kernel backend into
-// the caller-provided destination (len m.rows).
-func (m *Dense) MulVecInto(x, dst []float64) {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d", m.rows, m.cols, len(x)))
-	}
-	if len(dst) != m.rows {
-		panic(fmt.Sprintf("mat: MulVecInto destination length %d, want %d", len(dst), m.rows))
-	}
-	Active().Gemv(m.rows, m.cols, m.data, x, dst)
-}
-
-// Add returns a+b elementwise.
-func Add(a, b *Dense) *Dense {
-	checkSameDims(a, b, "Add")
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out
-}
-
-// Sub returns a-b elementwise.
-func Sub(a, b *Dense) *Dense {
-	checkSameDims(a, b, "Sub")
-	out := a.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out
-}
-
-// Scale returns s*m as a new matrix.
-func (m *Dense) Scale(s float64) *Dense {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
-func checkSameDims(a, b *Dense, op string) {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("mat: %s dimension mismatch %dx%d vs %dx%d", op, a.rows, a.cols, b.rows, b.cols))
-	}
 }
 
 // String renders the matrix for debugging.
@@ -202,19 +97,6 @@ func (m *Dense) String() string {
 	return sb.String()
 }
 
-// MaxAbsDiff returns the maximum absolute elementwise difference between a
-// and b; useful in tests.
-func MaxAbsDiff(a, b *Dense) float64 {
-	checkSameDims(a, b, "MaxAbsDiff")
-	var max float64
-	for i := range a.data {
-		if d := math.Abs(a.data[i] - b.data[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // ---- vector helpers ----
 
 // Dot returns the inner product of a and b.
@@ -227,19 +109,6 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mat: AXPY length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
 }
 
 // VecClone returns a copy of x.
@@ -255,71 +124,6 @@ func VecClone(x []float64) []float64 {
 // ErrSingular is returned when a factorization encounters a (numerically)
 // singular matrix.
 var ErrSingular = errors.New("mat: matrix is singular or not positive definite")
-
-// Cholesky computes the lower-triangular factor L with A = L*Lᵀ for a
-// symmetric positive-definite A.
-func Cholesky(a *Dense) (*Dense, error) {
-	if a.rows != a.cols {
-		panic("mat: Cholesky of non-square matrix")
-	}
-	n := a.rows
-	l := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrSingular
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// SolveCholesky solves A*x = b given the Cholesky factor L of A.
-func SolveCholesky(l *Dense, b []float64) []float64 {
-	n := l.rows
-	if len(b) != n {
-		panic("mat: SolveCholesky dimension mismatch")
-	}
-	// Forward substitution: L*y = b.
-	//lint:allow poolalloc solution escapes to the caller; factor-based solves are off the steady-state path
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Back substitution: Lᵀ*x = y.
-	//lint:allow poolalloc solution escapes to the caller; factor-based solves are off the steady-state path
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
-}
-
-// SolveSPD solves A*x = b for symmetric positive-definite A.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return SolveCholesky(l, b), nil
-}
 
 // QR holds a Householder QR factorization of an m×n matrix with m >= n.
 // The lower trapezoid of qr stores the Householder vectors (including the
@@ -417,30 +221,11 @@ func LstSq(a *Dense, b []float64) ([]float64, error) {
 	return QRFactor(a).Solve(b)
 }
 
-// SolveRidge solves the ridge-regularized least squares
-// (AᵀA + lambda*I) x = Aᵀ b. lambda must be >= 0; with lambda == 0 it is
-// ordinary least squares via the normal equations.
-func SolveRidge(a *Dense, b []float64, lambda float64) ([]float64, error) {
-	at := a.T()
-	ata := Mul(at, a)
-	n := ata.rows
-	for i := 0; i < n; i++ {
-		ata.data[i*n+i] += lambda
-	}
-	atb := at.MulVec(b)
-	x, err := SolveSPD(ata, atb)
-	if err != nil {
-		// Fall back to QR on the augmented system for near-singular AᵀA.
-		return LstSq(a, b)
-	}
-	return x, nil
-}
-
 // SolveWeightedRidge solves the weighted ridge regression
-// (Aᵀ W A + lambda*I) x = Aᵀ W b where W = diag(w). Used by LIME and
-// KernelSHAP. Weights must be non-negative. It allocates the solution;
-// hot paths should call SolveWeightedRidgeInto with a pooled or reused
-// destination.
+// (Aᵀ W A + lambda*I) x = Aᵀ W b where W = diag(w). Used by linear
+// regression (with unit weights), LIME and KernelSHAP. Weights must be
+// non-negative. It allocates the solution; hot paths should call
+// SolveWeightedRidgeInto with a pooled or reused destination.
 func SolveWeightedRidge(a *Dense, b, w []float64, lambda float64) ([]float64, error) {
 	//lint:allow poolalloc result escapes to the caller; pooled callers use SolveWeightedRidgeInto
 	dst := make([]float64, a.cols)
@@ -460,7 +245,7 @@ type solveWS struct {
 var solvePool = sync.Pool{New: func() any { return new(solveWS) }}
 
 // getSolveWS returns a workspace with capacity for an n-column system.
-// Contents are undefined: WeightedGram fully overwrites both buffers.
+// Contents are undefined: weightedGram fully overwrites both buffers.
 func getSolveWS(n int) *solveWS {
 	ws := solvePool.Get().(*solveWS)
 	if cap(ws.gram) < n*n {
@@ -479,12 +264,11 @@ func putSolveWS(ws *solveWS) { solvePool.Put(ws) }
 // SolveWeightedRidgeInto solves the weighted ridge regression directly
 // through the normal equations into the caller-provided dst (len
 // a.cols): the gram matrix AᵀWA + lambda·I and right-hand side AᵀWb are
-// accumulated by the active backend into pooled workspace and the system
-// is solved by an in-place Cholesky factorization — zero steady-state
-// allocations, which is what empties the ridge-solve alloc hotspot PR 9
-// left behind. A (numerically) non-positive-definite system falls back
-// to QR on the sqrt(w)-scaled rows, matching the historical SolveRidge
-// fallback (that path allocates; it is rare and ErrSingular-driven).
+// accumulated into pooled workspace and the system is solved by an
+// in-place Cholesky factorization, with zero steady-state allocations.
+// A (numerically) non-positive-definite system falls back to QR on the
+// sqrt(w)-scaled rows with the ridge term dropped (that path allocates;
+// it is rare and ErrSingular-driven).
 func SolveWeightedRidgeInto(a *Dense, b, w []float64, lambda float64, dst []float64) error {
 	if len(w) != a.rows || len(b) != a.rows {
 		panic("mat: SolveWeightedRidge dimension mismatch")
@@ -495,9 +279,8 @@ func SolveWeightedRidgeInto(a *Dense, b, w []float64, lambda float64, dst []floa
 	}
 	ws := getSolveWS(n)
 	defer putSolveWS(ws)
-	bk := Active()
-	bk.WeightedGram(a.rows, n, a.data, b, w, lambda, ws.gram, ws.rhs)
-	if err := bk.SolveSPDInPlace(n, ws.gram, ws.rhs, dst); err == nil {
+	weightedGram(a.rows, n, a.data, b, w, lambda, ws.gram, ws.rhs)
+	if err := solveSPDInPlace(n, ws.gram, ws.rhs, dst); err == nil {
 		return nil
 	}
 	x, err := weightedQRFallback(a, b, w)
@@ -509,8 +292,7 @@ func SolveWeightedRidgeInto(a *Dense, b, w []float64, lambda float64, dst []floa
 }
 
 // weightedQRFallback is the rare-path least-squares solve on the
-// sqrt(w)-scaled system, reproducing the pre-backend fallback semantics
-// (the ridge term is dropped, exactly as SolveRidge's QR fallback did).
+// sqrt(w)-scaled system. The ridge term is dropped.
 func weightedQRFallback(a *Dense, b, w []float64) ([]float64, error) {
 	scaled := a.Clone()
 	//lint:allow poolalloc rare ErrSingular fallback, not a steady-state path
@@ -525,3 +307,105 @@ func weightedQRFallback(a *Dense, b, w []float64) ([]float64, error) {
 	}
 	return LstSq(scaled, sb)
 }
+
+// weightedGram overwrites gram (n×n) with AᵀWA + lambda·I and rhs (n)
+// with AᵀWb for a (rows×n), targets b and non-negative weights w. Rows
+// are summed in order; zero weights and zero a-elements are skipped.
+func weightedGram(rows, n int, a, b, w []float64, lambda float64, gram, rhs []float64) {
+	clear(gram[:n*n])
+	clear(rhs[:n])
+	for i := 0; i < rows; i++ {
+		wi := w[i]
+		if wi == 0 {
+			continue
+		}
+		row := a[i*n : (i+1)*n]
+		wb := wi * b[i]
+		for p := 0; p < n; p++ {
+			ap := row[p]
+			if ap == 0 {
+				continue
+			}
+			wap := wi * ap
+			rhs[p] += ap * wb
+			g := gram[p*n:]
+			for q := p; q < n; q++ {
+				g[q] += wap * row[q]
+			}
+		}
+	}
+	// Mirror the upper triangle into the lower and add the ridge term.
+	for p := 0; p < n; p++ {
+		gram[p*n+p] += lambda
+		for q := p + 1; q < n; q++ {
+			gram[q*n+p] = gram[p*n+q]
+		}
+	}
+}
+
+// solveSPDInPlace factors g = L·Lᵀ in place (L overwrites g's lower
+// triangle) and solves g·dst = rhs by forward/back substitution through
+// dst, leaving rhs intact. It returns ErrSingular when g is not
+// (numerically) positive definite. No allocations: this is the
+// steady-state ridge-solve path, and the poolalloc analyzer holds it to
+// zero.
+func solveSPDInPlace(n int, g, rhs, dst []float64) error {
+	// In-place Cholesky, lower triangle.
+	for i := 0; i < n; i++ {
+		gi := g[i*n:]
+		for j := 0; j <= i; j++ {
+			gj := g[j*n:]
+			sum := gi[j]
+			for p := 0; p < j; p++ {
+				sum -= gi[p] * gj[p]
+			}
+			if i == j {
+				if sum <= 0 || sum != sum { // non-positive or NaN pivot
+					return ErrSingular
+				}
+				gi[i] = math.Sqrt(sum)
+			} else {
+				gi[j] = sum / gj[j]
+			}
+		}
+	}
+	// Forward substitution L·y = rhs (y in dst).
+	for i := 0; i < n; i++ {
+		s := rhs[i]
+		gi := g[i*n:]
+		for p := 0; p < i; p++ {
+			s -= gi[p] * dst[p]
+		}
+		dst[i] = s / gi[i]
+	}
+	// Back substitution Lᵀ·x = y, in place over dst.
+	for i := n - 1; i >= 0; i-- {
+		s := dst[i]
+		for p := i + 1; p < n; p++ {
+			s -= g[p*n+i] * dst[p]
+		}
+		dst[i] = s / g[i*n+i]
+	}
+	return nil
+}
+
+// HybridRow assembles one masked perturbation row: dst = bg, then
+// dst[j] = x[j] for every j in kept. This is the inner row-assembly
+// step of KernelSHAP's generic coalition evaluator.
+func HybridRow(dst, bg, x []float64, kept []int) {
+	copy(dst, bg)
+	for _, j := range kept {
+		dst[j] = x[j]
+	}
+}
+
+// Kernels identifies the package's one set of dense kernels.
+type Kernels struct{}
+
+// Name returns "go".
+func (Kernels) Name() string { return "go" }
+
+// Active returns the kernel set. explainbench (explainbench/main.go)
+// records Active().Name() as mat_backend in every report it writes, so
+// the name stays "go" for its reports to compare across versions.
+func Active() Kernels { return Kernels{} }

@@ -53,14 +53,16 @@ func (m *Regression) Fit(d *dataset.Dataset) error {
 
 	a := mat.NewDense(n, p)
 	b := make([]float64, n)
+	ones := make([]float64, n)
 	for i, row := range d.X {
 		ar := a.Row(i)
 		for j, v := range row {
 			ar[j] = v - xm[j]
 		}
 		b[i] = d.Y[i] - ym
+		ones[i] = 1
 	}
-	w, err := mat.SolveRidge(a, b, m.Ridge)
+	w, err := mat.SolveWeightedRidge(a, b, ones, m.Ridge)
 	if err != nil {
 		return fmt.Errorf("linear: solve failed: %w", err)
 	}

@@ -10,7 +10,8 @@
 // Helpers are call-scoped. A pool holds Workers() idle Worker contexts,
 // arenas included, in a buffered channel; ParallelFor borrows whichever
 // are idle without blocking, starts one goroutine per borrowed context,
-// and waits for them before it returns. No goroutine started here
+// and waits for them before it returns. The calling goroutine takes its
+// own context from a second, bounded free list. No goroutine started here
 // outlives the call that started it, so a pool needs no shutdown, and
 // because a pool owns exactly Workers() contexts, at most that many
 // helpers run at once however calls overlap or nest.
@@ -71,20 +72,47 @@ func (w *Worker) Floats32(slot, n int) []float32 {
 // Pool bounds the helpers that ParallelFor calls may borrow.
 type Pool struct {
 	idle   chan *Worker // helper contexts not lent to a call; cap is the pool size
-	helper sync.Pool    // *Worker contexts for participating callers
+	caller chan *Worker // free list of contexts for participating callers
 }
 
 // New builds a pool of n helper contexts (n <= 0 selects GOMAXPROCS).
+//
+// The caller free list holds 3n contexts. A two-level call (the
+// standardizing model wrapper over its inner model) holds one for the
+// outer caller and one for each inner caller, which run on its helpers
+// and on the outer caller's goroutine: n+2 when it has the pool to
+// itself, and 2K+n for K such calls at once, since they share the n
+// helpers. 3n covers n concurrent calls, the serving layer's default
+// per-model in-flight limit, so their arenas are reused, not rebuilt.
 func New(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{idle: make(chan *Worker, n)}
+	p := &Pool{idle: make(chan *Worker, n), caller: make(chan *Worker, 3*n)}
 	for i := 0; i < n; i++ {
 		p.idle <- new(Worker)
 	}
-	p.helper.New = func() any { return new(Worker) }
 	return p
+}
+
+// callerWorker takes a caller context off the free list, or makes one
+// when the list is empty.
+func (p *Pool) callerWorker() *Worker {
+	select {
+	case w := <-p.caller:
+		return w
+	default:
+		return new(Worker)
+	}
+}
+
+// releaseCaller returns a caller context to the free list, or drops it
+// when the list is full.
+func (p *Pool) releaseCaller(w *Worker) {
+	select {
+	case p.caller <- w:
+	default:
+	}
 }
 
 var (
@@ -137,8 +165,8 @@ func (p *Pool) ParallelFor(n, minChunk int, fn func(w *Worker, lo, hi int)) {
 	if minChunk <= 0 {
 		minChunk = 1
 	}
-	w := p.helper.Get().(*Worker)
-	defer p.helper.Put(w)
+	w := p.callerWorker()
+	defer p.releaseCaller(w)
 	workers := cap(p.idle)
 	if n < 2*minChunk || workers <= 1 {
 		fn(w, 0, n)

@@ -76,6 +76,46 @@ func TestParallelForDeterministic(t *testing.T) {
 	}
 }
 
+// TestCallerContextsReused runs two-level nested calls from one and
+// from several goroutines at once and checks that chunks only ever see
+// the pool's helper contexts and a bounded set of reused caller
+// contexts: K concurrent calls hold at most 2K+W caller contexts, so
+// chunks see at most 2W+2K distinct ones and caller arenas are not
+// rebuilt call after call. Under -race a sync.Pool drops a share of its
+// puts, which this catches.
+func TestCallerContextsReused(t *testing.T) {
+	const workers = 2
+	for callers := 1; callers <= workers; callers++ {
+		p := New(workers)
+		var mu sync.Mutex
+		seen := map[*Worker]bool{}
+		record := func(w *Worker) {
+			mu.Lock()
+			seen[w] = true
+			mu.Unlock()
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 200; rep++ {
+					p.ParallelFor(8, 1, func(w *Worker, lo, hi int) {
+						record(w)
+						for i := lo; i < hi; i++ {
+							p.ParallelFor(64, 8, func(w *Worker, lo, hi int) { record(w) })
+						}
+					})
+				}
+			}()
+		}
+		wg.Wait()
+		if got, limit := len(seen), 2*workers+2*callers; got > limit {
+			t.Errorf("%d callers: chunks ran on %d distinct contexts, want at most %d", callers, got, limit)
+		}
+	}
+}
+
 // TestWorkerArena checks slot isolation and reuse of per-worker scratch.
 func TestWorkerArena(t *testing.T) {
 	w := &Worker{}

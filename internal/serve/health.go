@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"nfvxai/internal/cluster"
-	"nfvxai/internal/mat"
 	"nfvxai/internal/registry"
 )
 
@@ -69,11 +68,6 @@ type ReadyResponse struct {
 	NodeID  string         `json:"node_id,omitempty"`
 	Version string         `json:"version,omitempty"`
 	Cluster *ClusterHealth `json:"cluster,omitempty"`
-	// MatBackend names the active dense-kernel backend ("go" or
-	// "blocked"; mat.Active) — the build-tag default unless overridden by
-	// explaind -matbackend. Surfaced so an operator comparing latency
-	// across nodes can see which kernel plane each one runs.
-	MatBackend string `json:"mat_backend"`
 }
 
 // ClusterHealth is the fleet view a clustered node reports on /healthz
@@ -173,7 +167,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	resp := ReadyResponse{
 		Status: "ok", Default: s.reg.DefaultName(),
 		NodeID: s.NodeID, Version: Version, Cluster: s.clusterHealth(),
-		MatBackend: mat.Active().Name(),
 	}
 	adm := s.ensureAdmit()
 	defaultServable := false

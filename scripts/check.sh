@@ -58,8 +58,8 @@ leakpkgs="./internal/serve/ ./internal/experiment/ ./internal/feed/ ./internal/r
 GOMAXPROCS=1 go test -count=1 $leakpkgs
 GOMAXPROCS=4 go test -count=1 $leakpkgs
 
-step "race (scheduler + scaled wrapper)"
-go test -race ./internal/sched/
+step "race (batch inference + scheduler + scaled wrapper + explainers + serving/jobs + feeds + experiments + registry + cluster)"
+go test -race ./internal/ml/... ./internal/sched/ ./internal/xai/... ./internal/serve/... ./internal/feed/... ./internal/experiment/... ./internal/registry/... ./internal/cluster/...
 go test -race -run 'TestScaledModelPredictBatch' ./internal/core/
 
 step "explainbench module (nested; root go test ./... skips it)"
