@@ -75,9 +75,8 @@
 // # The kernel plane
 //
 // Under the batch layer sits a mechanical-sympathy kernel plane
-// (internal/mat, internal/sched, the quantized tree kernels in
-// internal/ml/tree, the MLP tile in internal/ml/nn). Dense linear
-// algebra is one set of plain loops in internal/mat. The weighted
+// (internal/mat, internal/sched, the MLP tile in internal/ml/nn). Dense
+// linear algebra is one set of plain loops in internal/mat. The weighted
 // least-squares solves at the heart of linear regression (unit weights),
 // KernelSHAP and LIME run through SolveWeightedRidgeInto: pooled
 // gram/rhs workspaces and an in-place Cholesky with a QR fallback for
@@ -91,23 +90,15 @@
 // stays bit-identical. The standardizing wrapper in front of the MLP and
 // linear models standardizes chunk-wise into worker-arena rows instead
 // of allocating a vector per row; together they make a 1024-coalition
-// MLP KernelSHAP explain about 3x faster (BENCH_PR13.json). Tree
-// ensembles gain an opt-in quantized path (RandomForest/GradientBoosting
-// Quantize): float32 SoA routing slabs with floor-rounded thresholds,
-// swept tree-major over float32 row blocks with 16 rows advanced in
-// lock-step so independent node loads overlap instead of serializing on
-// one row's pointer chase — 1.8x the float64 flat path on a 40-tree
-// forest. The path is contract-gated: the first quantized batch is
-// served exact while a row-by-row probe checks the 1e-6 relative-error
-// bound, any violation permanently falls back, and QuantActive() reports
-// which path is serving. Fan-out across all of it flows through one
-// pool of worker contexts (internal/sched) with per-worker float arenas,
-// sized once (explaind -sched-workers) instead of per-call-site goroutine
-// spawning. Its helpers are call-scoped: ParallelFor borrows idle
-// contexts, runs a goroutine per context beside the caller and waits for
-// them, so no goroutine outlives the call that started it and the pool
-// needs no shutdown; the -sched-pin flag went with the long-lived
-// workers it pinned.
+// MLP KernelSHAP explain about 3x faster (BENCH_PR13.json). Fan-out
+// across all of it flows through one pool of worker contexts
+// (internal/sched) with per-worker float arenas, sized once (explaind
+// -sched-workers) instead of per-call-site goroutine spawning. Its
+// helpers are call-scoped: ParallelFor borrows idle contexts, runs a
+// goroutine per context beside the caller and waits for them, so no
+// goroutine outlives the call that started it and the pool needs no
+// shutdown; the -sched-pin flag went with the long-lived workers it
+// pinned.
 //
 // # The durable artifact plane
 //

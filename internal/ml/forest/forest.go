@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/ml/tree"
@@ -33,20 +32,8 @@ type RandomForest struct {
 	Task dataset.Task
 	// Seed drives bootstrap and feature subsampling.
 	Seed int64
-	// Quantize opts batch prediction into the float32/SoA tree kernels.
-	// The first quantized batch is fully parity-checked against the exact
-	// path (and served from it); the ensemble permanently falls back to
-	// exact evaluation if any probed row deviates by more than
-	// quantRelTol relative error. Not serialized: it is a runtime knob,
-	// not model state, and it never changes Predict or serialized bytes.
-	Quantize bool
 
 	Trees []*tree.Tree
-
-	// quantVerdict is the cached probe outcome (quantUnknown/Accepted/
-	// Rejected), accessed atomically. A plain int32 rather than an
-	// atomic.Int32 so the struct stays copyable (serialize does *f = nf).
-	quantVerdict int32
 }
 
 // Fit trains the ensemble on d.
@@ -139,7 +126,6 @@ func (f *RandomForest) Fit(d *dataset.Dataset) error {
 		f.Trees = nil
 		return fitErr
 	}
-	atomic.StoreInt32(&f.quantVerdict, quantUnknown) // new trees: re-probe
 	return nil
 }
 
@@ -157,27 +143,8 @@ func (f *RandomForest) Predict(x []float64) float64 {
 // PredictBatch implements ml.BatchPredictor: rows are sharded over the
 // shared sched pool, and each shard sums the trees' flattened batch
 // outputs in ensemble order (so every row gets the same addition order —
-// and thus bit-identical output — as a Predict loop). With Quantize set
-// the float32 kernel path may take over after its parity probe; see
-// quant.go.
+// and thus bit-identical output — as a Predict loop).
 func (f *RandomForest) PredictBatch(X [][]float64, out []float64) {
-	if f.Quantize && len(X) > 0 {
-		switch atomic.LoadInt32(&f.quantVerdict) {
-		case quantAccepted:
-			if f.predictBatchQuant(X, out) {
-				return
-			}
-			atomic.StoreInt32(&f.quantVerdict, quantRejected)
-		case quantUnknown:
-			f.predictBatchExact(X, out)
-			probeQuant(&f.quantVerdict, X, out, f.predictBatchQuant)
-			return
-		}
-	}
-	f.predictBatchExact(X, out)
-}
-
-func (f *RandomForest) predictBatchExact(X [][]float64, out []float64) {
 	shardEnsemble(len(f.Trees), X, func(w *sched.Worker, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = 0
@@ -238,15 +205,18 @@ type GradientBoosting struct {
 	Task dataset.Task
 	// Seed drives subsampling.
 	Seed int64
-	// Quantize opts batch prediction into the float32/SoA tree kernels;
-	// same probe-then-commit contract as RandomForest.Quantize.
-	Quantize bool
 
 	Trees []*tree.Tree
 	Base  float64 // initial prediction (mean target / prior log-odds)
+}
 
-	// quantVerdict mirrors RandomForest.quantVerdict.
-	quantVerdict int32
+// shrinkage is the learning rate in effect: LearningRate, or the 0.1
+// default when LearningRate is not positive.
+func (g *GradientBoosting) shrinkage() float64 {
+	if g.LearningRate <= 0 {
+		return 0.1
+	}
+	return g.LearningRate
 }
 
 // Fit trains the ensemble on d.
@@ -258,10 +228,7 @@ func (g *GradientBoosting) Fit(d *dataset.Dataset) error {
 	if rounds <= 0 {
 		rounds = 100
 	}
-	lr := g.LearningRate
-	if lr <= 0 {
-		lr = 0.1
-	}
+	lr := g.shrinkage()
 	depth := g.MaxDepth
 	if depth <= 0 {
 		depth = 3
@@ -338,7 +305,6 @@ func (g *GradientBoosting) Fit(d *dataset.Dataset) error {
 		}
 		g.Trees = append(g.Trees, tr)
 	}
-	atomic.StoreInt32(&g.quantVerdict, quantUnknown) // new trees: re-probe
 	return nil
 }
 
@@ -368,27 +334,7 @@ func newtonLeaves(tr *tree.Tree, d *dataset.Dataset, score []float64, idx []int)
 // for the sharding scheme. Accumulation starts at Base and adds the
 // shrunk tree outputs in boosting order, matching RawScore exactly.
 func (g *GradientBoosting) PredictBatch(X [][]float64, out []float64) {
-	if g.Quantize && len(X) > 0 {
-		switch atomic.LoadInt32(&g.quantVerdict) {
-		case quantAccepted:
-			if g.predictBatchQuant(X, out) {
-				return
-			}
-			atomic.StoreInt32(&g.quantVerdict, quantRejected)
-		case quantUnknown:
-			g.predictBatchExact(X, out)
-			probeQuant(&g.quantVerdict, X, out, g.predictBatchQuant)
-			return
-		}
-	}
-	g.predictBatchExact(X, out)
-}
-
-func (g *GradientBoosting) predictBatchExact(X [][]float64, out []float64) {
-	lr := g.LearningRate
-	if lr <= 0 {
-		lr = 0.1
-	}
+	lr := g.shrinkage()
 	shardEnsemble(len(g.Trees), X, func(w *sched.Worker, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = g.Base
@@ -421,10 +367,7 @@ func shardEnsemble(nTrees int, X [][]float64, eval func(w *sched.Worker, lo, hi 
 // RawScore returns the additive ensemble output before any link function.
 func (g *GradientBoosting) RawScore(x []float64) float64 {
 	s := g.Base
-	lr := g.LearningRate
-	if lr <= 0 {
-		lr = 0.1
-	}
+	lr := g.shrinkage()
 	for _, t := range g.Trees {
 		s += lr * t.Predict(x)
 	}
@@ -468,10 +411,7 @@ func (g *GradientBoosting) FeatureImportance() []float64 {
 // classification that is the log-odds, which is the standard output space
 // for TreeSHAP on boosted models.
 func (g *GradientBoosting) ComponentTrees() ([]*tree.Tree, []float64, float64) {
-	lr := g.LearningRate
-	if lr <= 0 {
-		lr = 0.1
-	}
+	lr := g.shrinkage()
 	w := make([]float64, len(g.Trees))
 	for i := range w {
 		w[i] = lr

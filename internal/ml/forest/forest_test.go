@@ -7,6 +7,8 @@ import (
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/ml/metrics"
+	"nfvxai/internal/ml/tree"
+	"nfvxai/internal/sched"
 )
 
 // friedman1-style nonlinear regression target.
@@ -249,4 +251,78 @@ func TestGBTImportanceNormalized(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("gbt importance sums to %v", sum)
 	}
+}
+
+// assertBatchParity fits both ensembles on each dataset's training split
+// and asserts that PredictBatch over the whole dataset is bit-identical
+// to a Predict loop.
+func assertBatchParity(t *testing.T, cases map[string]*dataset.Dataset) {
+	t.Helper()
+	// Two workers split the larger batches into dispatched chunks even
+	// when the shared pool is first sized at GOMAXPROCS=1.
+	if sched.Default().Workers() < 2 {
+		sched.Configure(2, false)
+	}
+	type ensemble interface {
+		Fit(*dataset.Dataset) error
+		Predict([]float64) float64
+		PredictBatch([][]float64, []float64)
+	}
+	for name, d := range cases {
+		train, _ := d.Split(rand.New(rand.NewSource(23)), 0.8)
+		models := map[string]ensemble{
+			"forest": &RandomForest{NumTrees: 20, MaxDepth: 8, Task: d.Task, Seed: 3},
+			"gbt":    &GradientBoosting{NumRounds: 30, MaxDepth: 3, Task: d.Task, Seed: 4},
+		}
+		for kind, m := range models {
+			if err := m.Fit(train); err != nil {
+				t.Fatalf("%s %s: %v", name, kind, err)
+			}
+			got := make([]float64, d.Len())
+			m.PredictBatch(d.X, got)
+			for i, x := range d.X {
+				if want := m.Predict(x); got[i] != want {
+					t.Fatalf("%s %s row %d: PredictBatch %v != Predict %v", name, kind, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestQuantDefaultBitExact holds both ensembles to the batch↔single
+// contract far from unit feature scale. The name dates from the opt-in
+// float32 path the ensembles once had beside the default exact one; the
+// exact path is now the only one.
+func TestQuantDefaultBitExact(t *testing.T) {
+	scale := func(d *dataset.Dataset, s float64) *dataset.Dataset {
+		for _, row := range d.X {
+			for j := range row {
+				row[j] *= s
+			}
+		}
+		return d
+	}
+	assertBatchParity(t, map[string]*dataset.Dataset{
+		"friedman":       nonlinearRegression(800, 11),
+		"friedman-x1e6":  scale(nonlinearRegression(800, 12), 1e6),
+		"friedman-x1e-6": scale(nonlinearRegression(800, 13), 1e-6),
+		"circle":         circleClassification(900, 14),
+		"circle-x37.5":   scale(circleClassification(900, 15), 37.5),
+	})
+}
+
+// TestQuantOverflowFallsBack holds both ensembles to the same contract
+// when split thresholds lie beyond math.MaxFloat32, where the removed
+// float32 path had no form and fell back to the exact one.
+func TestQuantOverflowFallsBack(t *testing.T) {
+	d := dataset.New(dataset.Regression, "x")
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 200; i++ {
+		x := rng.Float64() * 1e39 // splits land beyond math.MaxFloat32
+		d.Add([]float64{x}, x/1e39)
+	}
+	if stump := tree.New(tree.Config{MaxDepth: 1}); stump.Fit(d) != nil || stump.Nodes[0].Threshold <= math.MaxFloat32 {
+		t.Fatal("root split is not past math.MaxFloat32")
+	}
+	assertBatchParity(t, map[string]*dataset.Dataset{"beyond-float32": d})
 }

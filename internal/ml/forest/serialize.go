@@ -91,7 +91,6 @@ func (f *RandomForest) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("forest: decode: %w", err)
 	}
 	nf.Trees = trees
-	nf.Quantize = f.Quantize // runtime knob, not model state: survives decode
 	*f = nf
 	return nil
 }
@@ -140,7 +139,6 @@ func (g *GradientBoosting) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("forest: decode: %w", err)
 	}
 	ng.Trees = trees
-	ng.Quantize = g.Quantize // runtime knob, not model state: survives decode
 	*g = ng
 	return nil
 }

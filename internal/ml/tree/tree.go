@@ -8,7 +8,6 @@ package tree
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -76,11 +75,6 @@ type Tree struct {
 	// invalidated when Nodes is mutated. See flatTree.
 	flat   atomic.Pointer[flatTree]
 	flatMu sync.Mutex
-
-	// flat32 is the quantized (float32 thresholds, SoA slabs) snapshot
-	// derived from flat; built lazily on first quantized batch call and
-	// invalidated together with flat. See flatTree32.
-	flat32 atomic.Pointer[flatTree32]
 }
 
 // flatTree is the batch-inference snapshot of the node table, split SoA
@@ -140,157 +134,12 @@ func (t *Tree) flatView() *flatTree {
 	return f
 }
 
-// flatTree32 is the quantized batch-inference snapshot: the routing
-// arrays of flatTree split into separate SoA slabs with float32
-// thresholds. Splitting thresholds/features/links into their own slabs
-// packs 16 thresholds per cache line for the tree-major sweep, and the
-// float32 narrowing halves the hot routing footprint. Leaf values stay
-// float64 (they alias the flatTree value slab) so accumulation precision
-// is untouched.
-//
-// Threshold rounding contract: each threshold is rounded DOWN to the
-// nearest float32 (floorF32). For any float32 input xf this preserves
-//
-//	xf <= thr32  ⟺  float64(xf) <= thr
-//
-// so routing a float32-quantized row through the quantized tree is
-// bit-equivalent to routing that same rounded row through the exact
-// tree: the only deviation a caller can observe comes from quantizing
-// the input row itself, never from threshold rounding. NaN inputs route
-// right in both layouts via the shared !(x <= thr) condition.
-type flatTree32 struct {
-	thr   []float32
-	feat  []int32
-	left  []int32
-	value []float64 // aliases flatTree.value; same BFS numbering
-	ok    bool      // false when a threshold cannot be floor-rounded
-}
-
-// floorF32 rounds v down to the nearest float32. ok is false when no
-// finite float32 lower bound exists (v below -MaxFloat32, or NaN).
-func floorF32(v float64) (float32, bool) {
-	if v != v || v < -math.MaxFloat32 {
-		return 0, false
-	}
-	if v >= math.MaxFloat32 {
-		return math.MaxFloat32, true
-	}
-	f := float32(v)
-	if float64(f) > v {
-		f = math.Nextafter32(f, float32(math.Inf(-1)))
-	}
-	return f, true
-}
-
-// flat32View returns the quantized layout, building it on first use.
-// It derives from flatView, which must be fetched BEFORE taking flatMu
-// (flatView locks flatMu itself on a cold cache).
-func (t *Tree) flat32View() *flatTree32 {
-	if q := t.flat32.Load(); q != nil {
-		return q
-	}
-	f := t.flatView()
-	t.flatMu.Lock()
-	defer t.flatMu.Unlock()
-	if q := t.flat32.Load(); q != nil {
-		return q
-	}
-	n := len(f.routing)
-	q := &flatTree32{
-		thr:   make([]float32, n),
-		feat:  make([]int32, n),
-		left:  make([]int32, n),
-		value: f.value,
-		ok:    true,
-	}
-	for i, nd := range f.routing {
-		q.feat[i] = nd.feature
-		q.left[i] = nd.left
-		if nd.feature == Leaf {
-			continue
-		}
-		thr32, ok := floorF32(nd.threshold)
-		if !ok {
-			q.ok = false
-			break
-		}
-		q.thr[i] = thr32
-	}
-	t.flat32.Store(q)
-	return q
-}
-
-// Quantizable reports whether the tree has a representable quantized
-// layout (every threshold admits a finite float32 floor). Ensembles
-// check this up front so a quantized sweep never fails mid-batch.
-func (t *Tree) Quantizable() bool {
-	return len(t.Nodes) > 0 && t.flat32View().ok
-}
-
-// quantLanes is the number of rows a quantized sweep advances in
-// lock-step. Per-row traversal is a serial dependent-load chain (node →
-// feature → child → node …), so a single row can never have more than
-// one routing load in flight; round-robining a group of independent rows
-// through the levels keeps quantLanes loads outstanding at once, which
-// is where the quantized path's speedup actually comes from.
-const quantLanes = 16
-
-// PredictBatchAdd32 accumulates w·prediction into out[i] for each of the
-// rows rows in the float32 block xb (row-major, the given stride), using
-// the quantized layout. It reports false — without touching out — when
-// the tree has no representable quantized form; callers must then fall
-// back to the exact float64 path.
-//
-// Rows advance quantLanes at a time, one level per pass: every lane's
-// (threshold, feature-value) loads are independent, so the memory system
-// overlaps them instead of serializing on one row's pointer chase. A
-// lane that reaches its leaf parks there (feat == Leaf keeps j fixed)
-// until the slowest lane in the group finishes.
-func (t *Tree) PredictBatchAdd32(xb []float32, rows, stride int, out []float64, w float64) bool {
-	q := t.flat32View()
-	if !q.ok {
-		return false
-	}
-	thr, feat, left, value := q.thr, q.feat, q.left, q.value
-	var jbuf [quantLanes]int32
-	for base := 0; base < rows; base += quantLanes {
-		n := rows - base
-		if n > quantLanes {
-			n = quantLanes
-		}
-		for l := 0; l < n; l++ {
-			jbuf[l] = 0
-		}
-		for live := true; live; {
-			live = false
-			for l := 0; l < n; l++ {
-				j := jbuf[l]
-				f := feat[j]
-				if f == Leaf {
-					continue
-				}
-				live = true
-				nj := left[j]
-				if !(xb[(base+l)*stride+int(f)] <= thr[j]) { // NaN routes right, as in Predict
-					nj++
-				}
-				jbuf[l] = nj
-			}
-		}
-		for l := 0; l < n; l++ {
-			out[base+l] += w * value[jbuf[l]]
-		}
-	}
-	return true
-}
-
-// InvalidateFlat discards the flattened batch-inference layouts (exact
-// and quantized). Callers that mutate Nodes directly (e.g. boosting's
-// Newton leaf correction) must invalidate so the next PredictBatch
-// rebuilds from the updated table.
+// InvalidateFlat discards the flattened batch-inference layout. Callers
+// that mutate Nodes directly (e.g. boosting's Newton leaf correction)
+// must invalidate so the next PredictBatch rebuilds from the updated
+// table.
 func (t *Tree) InvalidateFlat() {
 	t.flat.Store(nil)
-	t.flat32.Store(nil)
 }
 
 // PredictBatch implements ml.BatchPredictor over the flattened layout.
@@ -368,7 +217,7 @@ func (t *Tree) FitIndices(d *dataset.Dataset, idx []int, sampleWeight []float64)
 	}
 	own := make([]int, len(idx))
 	copy(own, idx)
-	t.InvalidateFlat() // Nodes is being replaced; drop any stale SoA views
+	t.InvalidateFlat() // Nodes is being replaced; drop any stale SoA view
 	b.grow(own, 0)
 	t.flatView() // build the batch layout once, at fit time
 	return nil

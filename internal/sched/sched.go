@@ -38,7 +38,6 @@ import (
 // of one call can run on the same Worker.
 type Worker struct {
 	f64 [][]float64
-	f32 [][]float32
 }
 
 // Floats returns a float64 scratch slice of length n for the given
@@ -54,19 +53,6 @@ func (w *Worker) Floats(slot, n int) []float64 {
 	}
 	w.f64[slot] = w.f64[slot][:n]
 	return w.f64[slot]
-}
-
-// Floats32 is Floats for float32 scratch (the quantized tree kernels'
-// row blocks).
-func (w *Worker) Floats32(slot, n int) []float32 {
-	for len(w.f32) <= slot {
-		w.f32 = append(w.f32, nil)
-	}
-	if cap(w.f32[slot]) < n {
-		w.f32[slot] = make([]float32, n)
-	}
-	w.f32[slot] = w.f32[slot][:n]
-	return w.f32[slot]
 }
 
 // Pool bounds the helpers that ParallelFor calls may borrow.
