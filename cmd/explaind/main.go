@@ -136,7 +136,8 @@ func main() {
 		cacheTier2 = flag.Bool("cache-tier2", false, "persist hot cache entries under -store (DIR/xcache) so a "+
 			"restarted or newly joined node serves explanations computed by the previous process or the fleet; needs -store")
 		schedWorkers = flag.Int("sched-workers", 0, "shared kernel worker-pool size (0 = GOMAXPROCS); "+
-			"bounds batch predict/explain fan-out process-wide")
+			"sizes batch predict, ensemble sharding, the MLP forward pass and xai.ExplainBatch "+
+			"(serving batch explains fan out behind the server's GOMAXPROCS-slot gate instead)")
 	)
 	flag.Var(&raw, "model", "scenario:model:target[:hours] spec; repeat to serve several models. "+
 		"A bare kind (e.g. just \"rf\") combines with -scenario/-target, matching the pre-v1 CLI.")

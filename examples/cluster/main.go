@@ -83,7 +83,11 @@ func main() {
 		nd.syn = &cluster.Syncer{Reg: nd.reg, Interval: 300 * time.Millisecond}
 		nd.srv.Cluster = c
 		nd.srv.Syncer = nd.syn
-		c.Start()
+	}
+	// Start only once every server is wired: a started node probes its
+	// peers at once, and a peer still being wired would race with it.
+	for _, nd := range nodes {
+		nd.cl.Start()
 		nd.syn.Start()
 		defer func(nd *fleetNode) { nd.syn.Stop(); nd.cl.Stop(); nd.hs.Close(); nd.srv.Close() }(nd)
 	}

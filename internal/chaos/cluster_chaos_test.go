@@ -79,7 +79,11 @@ func newChaosFleet(t *testing.T, n int, errRate float64, seed int64) []*fleetNod
 		nd.syn = &cluster.Syncer{Reg: nd.reg, Interval: 100 * time.Millisecond}
 		nd.s.Cluster = c
 		nd.s.Syncer = nd.syn
-		c.Start()
+	}
+	// Start only once every server is wired: a started node probes its
+	// peers at once, and a peer still being wired would race with it.
+	for _, nd := range nodes {
+		nd.cl.Start()
 		nd.syn.Start()
 	}
 	t.Cleanup(func() {

@@ -36,8 +36,11 @@ type e2eNode struct {
 }
 
 // newFleet boots n nodes over one shared blob bucket. Servers come up
-// first (so peer URLs exist), then each node's cluster view and sync
-// loop start. Cleanup tears everything down in reverse.
+// first (so peer URLs exist), then every server is wired to its cluster
+// view and sync loop, and only then do the loops start: a started node
+// probes its peers at once, so wiring a peer after that would race with
+// the peer's health handler reading its Cluster and Syncer. Cleanup tears
+// everything down in reverse.
 func newFleet(t testing.TB, n int) []*e2eNode {
 	t.Helper()
 	blob := registry.NewMemBlob()
@@ -72,8 +75,10 @@ func newFleet(t testing.TB, n int) []*e2eNode {
 		nd.cl, nd.syn = c, syn
 		nd.srv.Cluster = c
 		nd.srv.Syncer = syn
-		c.Start()
-		syn.Start()
+	}
+	for _, nd := range nodes {
+		nd.cl.Start()
+		nd.syn.Start()
 	}
 	t.Cleanup(func() {
 		for _, nd := range nodes {

@@ -76,10 +76,9 @@ type Server struct {
 	mux  *http.ServeMux
 	jobs *jobStore
 	hub  *feed.Hub
-	// BatchWorkers caps total explain fan-out across ALL concurrent batch
-	// requests (0 = GOMAXPROCS). Set before the first batch request; the
-	// shared gate is sized once, lazily.
-	BatchWorkers int
+	// gate caps total explain fan-out across ALL concurrent batch
+	// requests at GOMAXPROCS slots.
+	gate chan struct{}
 
 	// DefaultBudgetMs is the latency budget applied to explain/whatif/
 	// importance requests that carry no budget of their own (0 = none:
@@ -110,9 +109,6 @@ type Server struct {
 	proxyOnce sync.Once
 	proxy     *http.Client
 
-	gateOnce sync.Once
-	gate     chan struct{}
-
 	admitOnce sync.Once
 	adm       *admission
 
@@ -130,6 +126,7 @@ func NewServer(reg *registry.Registry) *Server {
 		mux:         http.NewServeMux(),
 		jobs:        newJobStore(),
 		hub:         feed.NewHub(),
+		gate:        make(chan struct{}, runtime.GOMAXPROCS(0)),
 		attachments: map[string][]*attachment{},
 	}
 	s.hub.Max = MaxFeeds
@@ -223,18 +220,6 @@ func (s *Server) Close() {
 		}
 		s.jobs.cancelAllAndWait()
 	})
-}
-
-// ensureGate lazily sizes the server-wide explain worker gate.
-func (s *Server) ensureGate() chan struct{} {
-	s.gateOnce.Do(func() {
-		n := s.BatchWorkers
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		s.gate = make(chan struct{}, n)
-	})
-	return s.gate
 }
 
 // New wraps a single already-trained pipeline as a one-model server — the
@@ -1014,7 +999,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name stri
 		// a GOMAXPROCS pool and oversubscribing the cores. The cache-aware
 		// path serves tier-1 hits without consuming gate slots and fans
 		// only the misses out (single-flighted across concurrent batches).
-		attrs, errs, cstats := p.ExplainBatchWith(ctx, e, method, opts, req.Instances, s.ensureGate(), req.NoCache)
+		attrs, errs, cstats := p.ExplainBatchWith(ctx, e, method, opts, req.Instances, s.gate, req.NoCache)
 		setCacheHeader(w, p, batchOutcome(cstats))
 		nOK, failed := 0, 0
 		var firstErr error

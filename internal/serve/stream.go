@@ -184,7 +184,7 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request, name 
 		if len(recs) == 0 {
 			continue
 		}
-		attrs, err := xai.ExplainBatchGated(ctx, e, xs, s.ensureGate())
+		attrs, err := xai.ExplainBatchGated(ctx, e, xs, s.gate)
 		if err != nil {
 			_ = sseEvent(w, "error", map[string]string{"error": err.Error()})
 			flusher.Flush()

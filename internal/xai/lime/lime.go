@@ -117,10 +117,6 @@ func (e *Explainer) ExplainDetailed(ctx context.Context, x []float64) (Result, e
 	if ridge <= 0 {
 		ridge = 0.01
 	}
-	srng := getRNG(e.Seed + 0x51A7)
-	defer putRNG(srng)
-	rng := srng.Rand
-
 	// Design: column j is the binary "kept" indicator; plus intercept.
 	// Proximity is measured in the interpretable (binary) space: the
 	// distance of a perturbed sample is the number of replaced features,
@@ -129,11 +125,13 @@ func (e *Explainer) ExplainDetailed(ctx context.Context, x []float64) (Result, e
 	// The perturbed neighborhood is assembled into one flat matrix (the
 	// unperturbed anchor x as its last row) and scored with a single
 	// batched model call instead of one Predict per sample.
-	// All neighborhood storage is pooled (pool.go) and fully rewritten
-	// below before any read; nothing derived from it outlives this call
-	// (phi copies out of the pooled coefficient vector before release).
-	buf := getNeighborhood(n+1, d)
+	// All neighborhood storage, rng included, is pooled (pool.go) and
+	// fully rewritten below before any read; nothing derived from it
+	// outlives this call (phi copies out of the pooled coefficient vector
+	// before release).
+	buf := getNeighborhood(n+1, d, e.Seed+0x51A7)
 	defer buf.release()
+	rng := buf.rng
 	a := mat.NewDenseData(n+1, d+1, buf.aData)
 	y := buf.y
 	w := buf.w

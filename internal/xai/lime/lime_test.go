@@ -95,6 +95,13 @@ func TestLimeDeterministicSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A differently shaped call in between leaves its neighborhood and rng
+	// state in the pooled buffer e2 then checks out.
+	other := &Explainer{Model: ml.PredictorFunc(func(x []float64) float64 { return x[0] - x[2] }),
+		Background: background(rng, 30, 3), NumSamples: 800, Seed: 11}
+	if _, err := other.Explain(context.Background(), []float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
 	a2, err := e2.Explain(context.Background(), []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)

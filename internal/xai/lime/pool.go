@@ -1,13 +1,14 @@
 // Pooled scratch for the LIME hot path. One ExplainDetailed call builds
 // four large transients — the (n+1)×(d+1) binary design matrix, the
-// perturbation matrix of n+1 hybrid rows, and the target/weight vectors.
-// Under a serving workload those dominate the allocation profile;
-// sync.Pool recycles them across calls.
+// perturbation matrix of n+1 hybrid rows, and the target/weight vectors —
+// and draws them with a seeded rng. Under a serving workload those
+// dominate the allocation profile; sync.Pool recycles them, rng included,
+// across calls.
 //
 // Everything here is handed out dirty: the neighborhood loop writes
 // every design-matrix cell, every perturbation-row element, and every
 // target and weight before anything reads them, so no zeroing is needed
-// on reuse.
+// on reuse. The rng is re-seeded on every checkout.
 package lime
 
 import (
@@ -15,13 +16,14 @@ import (
 	"sync"
 )
 
-// neighborhoodBuf holds one call's neighborhood storage: the flat
-// design-matrix backing (wrapped by mat.NewDenseData), the targets and
-// kernel weights, the perturbation matrix (flat backing plus row
-// headers, re-carved per call because d varies between pooled users),
+// neighborhoodBuf holds one call's neighborhood storage: the seeded rng,
+// the flat design-matrix backing (wrapped by mat.NewDenseData), the
+// targets and kernel weights, the perturbation matrix (flat backing plus
+// row headers, re-carved per call because d varies between pooled users),
 // and the surrogate coefficient vector (phi copies out of it before
 // release).
 type neighborhoodBuf struct {
+	rng      *rand.Rand
 	aData    []float64
 	y        []float64
 	w        []float64
@@ -30,12 +32,17 @@ type neighborhoodBuf struct {
 	coef     []float64
 }
 
-var neighborhoodPool = sync.Pool{New: func() any { return new(neighborhoodBuf) }}
+var neighborhoodPool = sync.Pool{New: func() any {
+	return &neighborhoodBuf{rng: rand.New(rand.NewSource(0))}
+}}
 
 // getNeighborhood returns storage for rows perturbed samples over d
-// features (the design matrix gets d+1 columns for the intercept).
-func getNeighborhood(rows, d int) *neighborhoodBuf {
+// features (the design matrix gets d+1 columns for the intercept) and an
+// rng seeded with seed. Rand.Seed resets the stream exactly as a fresh
+// rand.NewSource(seed) would, so pooling never changes a seed's draws.
+func getNeighborhood(rows, d int, seed int64) *neighborhoodBuf {
 	b := neighborhoodPool.Get().(*neighborhoodBuf)
+	b.rng.Seed(seed)
 	if cap(b.aData) < rows*(d+1) {
 		b.aData = make([]float64, rows*(d+1))
 	}
@@ -70,24 +77,3 @@ func getNeighborhood(rows, d int) *neighborhoodBuf {
 // the design matrix and every slice handed out: they alias the pooled
 // storage and will be scribbled over by the next call.
 func (b *neighborhoodBuf) release() { neighborhoodPool.Put(b) }
-
-// seededRand is a pooled deterministic rng; re-seeding through the
-// rand.Source interface resets the stream exactly as a fresh
-// rand.NewSource(seed) would, so pooling never changes a seed's draws.
-type seededRand struct {
-	src rand.Source
-	*rand.Rand
-}
-
-var rngPool = sync.Pool{New: func() any {
-	src := rand.NewSource(0)
-	return &seededRand{src: src, Rand: rand.New(src)}
-}}
-
-func getRNG(seed int64) *seededRand {
-	r := rngPool.Get().(*seededRand)
-	r.src.Seed(seed)
-	return r
-}
-
-func putRNG(r *seededRand) { rngPool.Put(r) }

@@ -1,18 +1,20 @@
-// Pooled scratch buffers for the KernelSHAP hot path. One Explain call
-// allocates three large transient regions — the coalition-mask backing
-// (budget × d bools), the coalition values, and either the perturbed-row
-// block (generic evaluator) or the per-background accumulator (masked
-// tree evaluator). Under a serving workload those are re-allocated for
-// every request; sync.Pool recycles them across calls and across the
-// progressive estimator's blocks.
+// Pooled scratch for the KernelSHAP hot path. One Explain, progressive
+// explain or Exact call checks out a single scratch and hands it to every
+// stage: the coalition draw, the coalition evaluation (the generic
+// evaluator's perturbed-row block or the masked tree evaluator's
+// accumulator and divergence-tree storage) and the WLS solve. Under a
+// serving workload those are re-allocated for every request; sync.Pool
+// recycles them across calls, and one checkout serves every block of the
+// progressive estimator.
 //
-// Zeroing discipline: the mask backing MUST be cleared before a draw —
-// sampleCoalitionsBuf only sets true bits (complement masks overwrite
-// fully, primary masks do not), so stale bits from a previous draw would
-// corrupt the coalition distribution. The treefast accumulator MUST be
-// cleared because it is written with +=. The generic evaluator's row and
-// prediction buffers, and the coalition values, are fully overwritten on
-// every use and are handed out dirty.
+// Zeroing discipline: the mask backing MUST be cleared before a draw
+// (drawStorage does) — enumerateCoalitions and sampleCoalitions only set
+// true bits (complement masks overwrite fully, primary masks do not), so
+// stale bits from a previous draw would corrupt the coalition
+// distribution. The treefast accumulator MUST be cleared before each
+// evaluation because it is written with +=. The generic evaluator's row
+// and prediction buffers, the coalition values and the WLS design are
+// fully overwritten on every use and are handed out dirty.
 package shap
 
 import (
@@ -22,105 +24,80 @@ import (
 	"nfvxai/internal/mat"
 )
 
-// coalitionBuf holds one sampling draw's storage: the flat bool backing
-// the masks are carved from, the mask and weight headers, the
-// coalition-value vector sized to the draw, and the draw's small
-// per-call scratch (size distribution and permutation).
-type coalitionBuf struct {
-	backing []bool
-	masks   [][]bool
-	weights []float64
-	vals    []float64
-	sizeW   []float64
-	perm    []int
-}
+// scratch is one call's working storage. Every slice handed out from it
+// aliases the pooled storage and is valid only until release; what
+// escapes to the caller (phi, the progressive mean and its CI widths) is
+// allocated fresh.
+type scratch struct {
+	// rng is re-seeded on every checkout that samples: Rand.Seed resets
+	// its state exactly as rand.NewSource(seed) would, so pooling never
+	// changes which coalitions a seed draws.
+	rng *rand.Rand
 
-var coalitionPool = sync.Pool{New: func() any { return new(coalitionBuf) }}
+	// The coalition draw: the flat bool backing the masks are carved
+	// from, the mask and weight headers, the coalition-value vector, and
+	// the sampler's size distribution and permutation.
+	maskBacking []bool
+	masks       [][]bool
+	weights     []float64
+	vals        []float64
+	sizeW       []float64
+	perm        []int
 
-func getCoalitionBuf() *coalitionBuf { return coalitionPool.Get().(*coalitionBuf) }
+	// The generic evaluator's block: the flat row backing, the row headers
+	// re-carved per call (d varies between models sharing the pool), the
+	// prediction vector, and the kept-feature list rebuilt per coalition.
+	rowBacking []float64
+	rows       [][]float64
+	preds      []float64
+	kept       []int
 
-// release returns the buffer to the pool. The caller must be done with
-// every mask, weight and value slice handed out from it: they alias the
-// pooled storage and will be scribbled over by the next draw.
-func (b *coalitionBuf) release() { coalitionPool.Put(b) }
+	// The masked tree evaluator's (background × coalition) accumulator —
+	// the single largest buffer of a forest Explain — and its
+	// divergence-tree storage, which grows by append to the largest
+	// (tree, background) reduction seen.
+	acc []float64
+	red reduced
 
-// valsFor returns a coalition-value slice of length n. Contents are
-// undefined; every evaluator writes all n entries before reading any.
-func (b *coalitionBuf) valsFor(n int) []float64 {
-	if cap(b.vals) < n {
-		b.vals = make([]float64, n)
-	}
-	return b.vals[:n]
-}
-
-// evalBuf is the generic batched evaluator's block scratch: the flat
-// row backing, the row headers re-carved per call (d varies between
-// models sharing the pool), the prediction vector, and the kept-feature
-// index list rebuilt per coalition.
-type evalBuf struct {
-	backing []float64
-	rows    [][]float64
-	preds   []float64
-	kept    []int
-}
-
-var evalPool = sync.Pool{New: func() any { return new(evalBuf) }}
-
-// accPool recycles the masked tree evaluator's (background × coalition)
-// accumulator — the single largest allocation of a forest Explain.
-var accPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// getAcc returns a zeroed accumulator of length n (it is accumulated
-// into with +=, so stale sums must be cleared).
-func getAcc(n int) *[]float64 {
-	p := accPool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n)
-	} else {
-		*p = (*p)[:n]
-		clear(*p)
-	}
-	return p
-}
-
-func putAcc(p *[]float64) { accPool.Put(p) }
-
-// reducedPool recycles the masked tree evaluator's divergence-tree
-// storage: the four parallel arrays grow by append to the largest
-// (tree, background) reduction seen, then serve every later Explain
-// without touching the heap.
-var reducedPool = sync.Pool{New: func() any { return new(reduced) }}
-
-// seededRand is a pooled deterministic rng: the source is re-seeded on
-// checkout through the rand.Source interface, which resets its state
-// exactly as rand.NewSource(seed) would, so the value stream for a given
-// seed is identical to a freshly built rand.New(rand.NewSource(seed)) —
-// pooling never changes which coalitions a seed draws.
-type seededRand struct {
-	src rand.Source
-	*rand.Rand
-}
-
-var rngPool = sync.Pool{New: func() any {
-	src := rand.NewSource(0)
-	return &seededRand{src: src, Rand: rand.New(src)}
-}}
-
-func getRNG(seed int64) *seededRand {
-	r := rngPool.Get().(*seededRand)
-	r.src.Seed(seed)
-	return r
-}
-
-func putRNG(r *seededRand) { rngPool.Put(r) }
-
-// solveBuf holds the WLS design matrix, target and solution scratch for
-// solvePhi. The attribution vector itself is excluded: it escapes to the
-// caller and must be a fresh allocation.
-type solveBuf struct {
+	// The WLS design matrix, target and solution.
 	a   *mat.Dense
 	b   []float64
 	sol []float64
 }
 
-var solvePool = sync.Pool{New: func() any { return &solveBuf{a: mat.NewDense(1, 1)} }}
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{rng: rand.New(rand.NewSource(0)), a: mat.NewDense(1, 1)}
+}}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release returns the scratch to the pool. The caller must be done with
+// every slice handed out from it: the next checkout scribbles over them.
+func (sc *scratch) release() { scratchPool.Put(sc) }
+
+// drawStorage returns the storage for a draw of n masks over d features:
+// n·d cleared mask bools, and empty mask and weight headers of capacity
+// n.
+func (sc *scratch) drawStorage(n, d int) ([]bool, [][]bool, []float64) {
+	if cap(sc.maskBacking) < n*d {
+		sc.maskBacking = make([]bool, n*d)
+	}
+	backing := sc.maskBacking[:n*d]
+	clear(backing)
+	if cap(sc.masks) < n {
+		sc.masks = make([][]bool, 0, n)
+	}
+	if cap(sc.weights) < n {
+		sc.weights = make([]float64, 0, n)
+	}
+	return backing, sc.masks[:0], sc.weights[:0]
+}
+
+// valsFor returns a coalition-value slice of length n. Contents are
+// undefined; every evaluator writes all n entries before reading any.
+func (sc *scratch) valsFor(n int) []float64 {
+	if cap(sc.vals) < n {
+		sc.vals = make([]float64, n)
+	}
+	return sc.vals[:n]
+}

@@ -40,16 +40,21 @@ const (
 func (k *Kernel) explainProgressive(ctx context.Context, x []float64, base, fx float64, budget int) (xai.Attribution, error) {
 	d := len(x)
 
+	// One pooled scratch serves the enumeration or every block: each draw
+	// clears and re-carves it, and no block reads a predecessor's masks or
+	// vals.
+	sc := getScratch()
+	defer sc.release()
+
 	// Small feature counts enumerate exactly in one pass: no sampling
 	// noise, converged by construction.
 	if total := (1 << uint(d)) - 2; d <= 20 && total <= budget {
-		masks, weights := enumerateCoalitions(d)
-		//lint:allow poolalloc one-shot enumeration path; the sampling loop below is the pooled steady state
-		vals := make([]float64, len(masks))
-		if err := k.evalCoalitions(ctx, x, masks, vals); err != nil {
+		masks, weights := enumerateCoalitions(d, sc)
+		vals := sc.valsFor(len(masks))
+		if err := k.evalCoalitions(ctx, x, masks, vals, sc); err != nil {
 			return xai.Attribution{}, err
 		}
-		phi, err := solvePhi(masks, weights, vals, base, fx, k.ridge())
+		phi, err := solvePhi(masks, weights, vals, base, fx, k.ridge(), sc)
 		if err != nil {
 			return xai.Attribution{}, err
 		}
@@ -70,15 +75,8 @@ func (k *Kernel) explainProgressive(ctx context.Context, x []float64, base, fx f
 	}
 	deadline, _ := ctx.Deadline()
 
-	// Pooled rng (identical stream to a fresh source at this seed) and
-	// one pooled draw buffer serving every block: each sampleCoalitionsBuf
-	// call clears and re-carves it, and no block reads a predecessor's
-	// masks or vals.
-	srng := getRNG(k.Seed + 0x9E3779B9)
-	defer putRNG(srng)
-	rng := srng.Rand
-	buf := getCoalitionBuf()
-	defer buf.release()
+	// Seeded once: every block continues the same stream.
+	sc.rng.Seed(k.Seed + 0x9E3779B9)
 	//lint:allow poolalloc mean escapes as Attribution.Phi
 	mean := make([]float64, d)
 	//lint:allow poolalloc per-call Welford state, same shape as the escaping mean
@@ -104,15 +102,15 @@ func (k *Kernel) explainProgressive(ctx context.Context, x []float64, base, fx f
 			n = rem
 		}
 		start := time.Now()
-		masks, weights := sampleCoalitionsBuf(rng, d, n, buf)
-		vals := buf.valsFor(len(masks))
-		if err := k.evalCoalitions(ctx, x, masks, vals); err != nil {
+		masks, weights := sampleCoalitions(d, n, sc)
+		vals := sc.valsFor(len(masks))
+		if err := k.evalCoalitions(ctx, x, masks, vals, sc); err != nil {
 			if blocks > 0 && errors.Is(err, context.DeadlineExceeded) {
 				break
 			}
 			return xai.Attribution{}, err
 		}
-		phiB, err := solvePhi(masks, weights, vals, base, fx, k.ridge())
+		phiB, err := solvePhi(masks, weights, vals, base, fx, k.ridge(), sc)
 		if err != nil {
 			return xai.Attribution{}, err
 		}

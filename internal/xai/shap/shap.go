@@ -134,22 +134,21 @@ func (k *Kernel) Explain(ctx context.Context, x []float64) (xai.Attribution, err
 	if _, hasDeadline := ctx.Deadline(); hasDeadline && !k.RowAtATime {
 		return k.explainProgressive(ctx, x, base, fx, budget)
 	}
-	// Pooled draw scratch: masks and vals alias buf until release, which
-	// is safe because solvePhi below copies nothing out of them.
-	buf := getCoalitionBuf()
-	defer buf.release()
+	// Pooled scratch: masks and vals alias sc until release, which is
+	// safe because solvePhi below copies nothing out of them.
+	sc := getScratch()
+	defer sc.release()
 	var masks [][]bool
 	var weights []float64
 	if total := (1 << uint(d)) - 2; d <= 20 && total <= budget {
-		masks, weights = enumerateCoalitionsBuf(d, buf)
+		masks, weights = enumerateCoalitions(d, sc)
 	} else {
-		rng := getRNG(k.Seed + 0x9E3779B9)
-		masks, weights = sampleCoalitionsBuf(rng.Rand, d, budget, buf)
-		putRNG(rng)
+		sc.rng.Seed(k.Seed + 0x9E3779B9)
+		masks, weights = sampleCoalitions(d, budget, sc)
 	}
 
 	// Evaluate the value function for every coalition.
-	vals := buf.valsFor(len(masks))
+	vals := sc.valsFor(len(masks))
 	if k.RowAtATime {
 		for i, m := range masks {
 			if err := xai.Canceled(ctx, "shap"); err != nil {
@@ -157,11 +156,11 @@ func (k *Kernel) Explain(ctx context.Context, x []float64) (xai.Attribution, err
 			}
 			vals[i] = k.coalitionValue(x, m)
 		}
-	} else if err := k.evalCoalitions(ctx, x, masks, vals); err != nil {
+	} else if err := k.evalCoalitions(ctx, x, masks, vals, sc); err != nil {
 		return xai.Attribution{}, err
 	}
 
-	phi, err := solvePhi(masks, weights, vals, base, fx, k.ridge())
+	phi, err := solvePhi(masks, weights, vals, base, fx, k.ridge(), sc)
 	if err != nil {
 		return xai.Attribution{}, err
 	}
@@ -179,18 +178,15 @@ func (k *Kernel) ridge() float64 {
 // phi[d-1] is eliminated via the efficiency constraint Σ phi = fx − base
 // and recovered from the remainder, so every solution — including the
 // per-block solutions of the progressive estimator — sums exactly to
-// fx − base.
-func solvePhi(masks [][]bool, weights, vals []float64, base, fx, ridge float64) ([]float64, error) {
+// fx − base. The design matrix, target and solution come from sc; only
+// phi (the returned attribution) is allocated.
+func solvePhi(masks [][]bool, weights, vals []float64, base, fx, ridge float64, sc *scratch) ([]float64, error) {
 	d := len(masks[0])
-	// Design matrix, target and solution come from pooled scratch; only
-	// phi (the returned attribution) is allocated.
-	sb := solvePool.Get().(*solveBuf)
-	defer solvePool.Put(sb)
-	a := sb.a.Reshape(len(masks), d-1)
-	if cap(sb.b) < len(masks) {
-		sb.b = make([]float64, len(masks))
+	a := sc.a.Reshape(len(masks), d-1)
+	if cap(sc.b) < len(masks) {
+		sc.b = make([]float64, len(masks))
 	}
-	b := sb.b[:len(masks)]
+	b := sc.b[:len(masks)]
 	for i, m := range masks {
 		zd := 0.0
 		if m[d-1] {
@@ -206,10 +202,10 @@ func solvePhi(masks [][]bool, weights, vals []float64, base, fx, ridge float64) 
 		}
 		b[i] = vals[i] - base - zd*(fx-base)
 	}
-	if cap(sb.sol) < d-1 {
-		sb.sol = make([]float64, d-1)
+	if cap(sc.sol) < d-1 {
+		sc.sol = make([]float64, d-1)
 	}
-	sol := sb.sol[:d-1]
+	sol := sc.sol[:d-1]
 	if err := mat.SolveWeightedRidgeInto(a, b, weights, ridge, sol); err != nil {
 		return nil, fmt.Errorf("shap: WLS solve: %w", err)
 	}
@@ -284,10 +280,10 @@ const evalBlockRows = 16384
 // background predictions in row order, so it is bit-identical to
 // coalitionValue; the masked path agrees to within float reassociation.
 // ctx is checked once per block / background row.
-func (k *Kernel) evalCoalitions(ctx context.Context, x []float64, masks [][]bool, vals []float64) error {
+func (k *Kernel) evalCoalitions(ctx context.Context, x []float64, masks [][]bool, vals []float64, sc *scratch) error {
 	k.fastOnce.Do(func() { k.fast = newMaskedEvaluator(k) })
 	if k.fast != nil {
-		return k.fast.evalCoalitions(ctx, x, k.Background, masks, vals)
+		return k.fast.evalCoalitions(ctx, x, k.Background, masks, vals, sc)
 	}
 	d := len(x)
 	nb := len(k.Background)
@@ -296,30 +292,28 @@ func (k *Kernel) evalCoalitions(ctx context.Context, x []float64, masks [][]bool
 		perBlock = 1
 	}
 	rowsCap := perBlock * nb
-	// Pooled block scratch: rows are fully rewritten (copy + overrides)
-	// and preds fully rewritten before any read, so no zeroing; the row
-	// headers are re-carved because d differs between pooled users.
-	eb := evalPool.Get().(*evalBuf)
-	defer evalPool.Put(eb)
-	if cap(eb.backing) < rowsCap*d {
-		eb.backing = make([]float64, rowsCap*d)
+	// Block scratch: rows are fully rewritten (copy + overrides) and preds
+	// fully rewritten before any read, so no zeroing; the row headers are
+	// re-carved because d differs between pooled users.
+	if cap(sc.rowBacking) < rowsCap*d {
+		sc.rowBacking = make([]float64, rowsCap*d)
 	}
-	backing := eb.backing[:rowsCap*d]
-	if cap(eb.rows) < rowsCap {
-		eb.rows = make([][]float64, rowsCap)
+	backing := sc.rowBacking[:rowsCap*d]
+	if cap(sc.rows) < rowsCap {
+		sc.rows = make([][]float64, rowsCap)
 	}
-	rows := eb.rows[:rowsCap]
+	rows := sc.rows[:rowsCap]
 	for r := range rows {
 		rows[r] = backing[r*d : (r+1)*d]
 	}
-	if cap(eb.preds) < rowsCap {
-		eb.preds = make([]float64, rowsCap)
+	if cap(sc.preds) < rowsCap {
+		sc.preds = make([]float64, rowsCap)
 	}
-	preds := eb.preds[:rowsCap]
-	if cap(eb.kept) < d {
-		eb.kept = make([]int, 0, d)
+	preds := sc.preds[:rowsCap]
+	if cap(sc.kept) < d {
+		sc.kept = make([]int, 0, d)
 	}
-	kept := eb.kept[:0] // mask-true feature indices, rebuilt per coalition
+	kept := sc.kept[:0] // mask-true feature indices, rebuilt per coalition
 	for lo := 0; lo < len(masks); lo += perBlock {
 		if err := xai.Canceled(ctx, "shap"); err != nil {
 			return err
@@ -376,39 +370,11 @@ func binom(n, k int) float64 {
 }
 
 // enumerateCoalitions returns every non-trivial mask with its Shapley
-// kernel weight.
-func enumerateCoalitions(d int) ([][]bool, []float64) {
-	return enumerateCoalitionsBuf(d, nil)
-}
-
-// enumerateCoalitionsBuf is enumerateCoalitions carving masks and
-// weights out of buf's pooled storage when buf is non-nil. The returned
-// slices alias the buffer and are valid only until it is released.
-func enumerateCoalitionsBuf(d int, buf *coalitionBuf) ([][]bool, []float64) {
+// kernel weight, carved out of sc. The returned slices alias the scratch
+// and are valid only until it is released.
+func enumerateCoalitions(d int, sc *scratch) ([][]bool, []float64) {
 	total := (1 << uint(d)) - 2
-	var masks [][]bool
-	var weights []float64
-	var backing []bool
-	if buf != nil {
-		if cap(buf.backing) < total*d {
-			buf.backing = make([]bool, total*d)
-		}
-		// The loop only SETS true bits; reused backing must come in clear.
-		backing = buf.backing[:total*d]
-		clear(backing)
-		if cap(buf.masks) < total {
-			buf.masks = make([][]bool, 0, total)
-		}
-		if cap(buf.weights) < total {
-			buf.weights = make([]float64, 0, total)
-		}
-		masks, weights = buf.masks[:0], buf.weights[:0]
-	} else {
-		masks = make([][]bool, 0, total)
-		//lint:allow poolalloc nil-buf fallback for one-shot callers; pooled callers hit the branch above
-		weights = make([]float64, 0, total)
-		backing = make([]bool, total*d)
-	}
+	backing, masks, weights := sc.drawStorage(total, d)
 	for bits := 1; bits < (1<<uint(d))-1; bits++ {
 		m := backing[:d:d]
 		backing = backing[d:]
@@ -422,97 +388,46 @@ func enumerateCoalitionsBuf(d int, buf *coalitionBuf) ([][]bool, []float64) {
 		masks = append(masks, m)
 		weights = append(weights, shapleyKernelWeight(d, s))
 	}
-	if buf != nil {
-		buf.masks, buf.weights = masks, weights
-	}
 	return masks, weights
 }
 
 // sampleCoalitions draws masks from the size distribution induced by the
 // Shapley kernel (paired with their complements for variance reduction);
 // sampled masks carry uniform weight since the kernel is absorbed into the
-// sampling distribution.
-func sampleCoalitions(d, budget int, seed int64) ([][]bool, []float64) {
-	return sampleCoalitionsFrom(rand.New(rand.NewSource(seed+0x9E3779B9)), d, budget)
-}
-
-// sampleCoalitionsFrom is sampleCoalitions drawing from a caller-owned
-// rng, so the progressive estimator's blocks continue one deterministic
-// stream: block b's masks depend only on the seed and how many draws
-// preceded them, which is what makes partial results reproducible for a
-// fixed seed and block count.
-func sampleCoalitionsFrom(rng *rand.Rand, d, budget int) ([][]bool, []float64) {
-	return sampleCoalitionsBuf(rng, d, budget, nil)
-}
-
-// sampleCoalitionsBuf is sampleCoalitionsFrom drawing into buf's pooled
-// storage when buf is non-nil (fresh allocations otherwise). The
-// returned masks alias buf.backing and are valid only until the buffer
-// is released. The draw itself is identical either way: storage reuse
-// never changes which coalitions a given rng stream produces.
-func sampleCoalitionsBuf(rng *rand.Rand, d, budget int, buf *coalitionBuf) ([][]bool, []float64) {
-	// Size distribution p(s) ∝ (d−1)/(s(d−s)) for s in 1..d−1; the
-	// scratch (and the permutation below) comes from the buffer when one
-	// is supplied. sizeW[0] is never written by the fill loop, so a
-	// reused slice is cleared first.
-	var sizeW []float64
-	if buf != nil {
-		if cap(buf.sizeW) < d {
-			buf.sizeW = make([]float64, d)
-		}
-		sizeW = buf.sizeW[:d]
-		clear(sizeW)
-	} else {
-		//lint:allow poolalloc nil-buf fallback for one-shot callers; pooled callers hit the branch above
-		sizeW = make([]float64, d)
+// sampling distribution. It draws from sc.rng, which the caller seeds once
+// per call, so the progressive estimator's blocks continue one
+// deterministic stream: block b's masks depend only on the seed and how
+// many draws preceded them, which is what makes partial results
+// reproducible for a fixed seed and block count. The returned masks alias
+// sc.maskBacking and are valid only until the scratch is released; storage
+// reuse never changes which coalitions a given rng stream produces.
+func sampleCoalitions(d, budget int, sc *scratch) ([][]bool, []float64) {
+	// Size distribution p(s) ∝ (d−1)/(s(d−s)) for s in 1..d−1. sizeW[0]
+	// is never written by the fill loop, so the reused slice is cleared
+	// first.
+	if cap(sc.sizeW) < d {
+		sc.sizeW = make([]float64, d)
 	}
+	sizeW := sc.sizeW[:d]
+	clear(sizeW)
 	for s := 1; s < d; s++ {
 		sizeW[s] = float64(d-1) / (float64(s) * float64(d-s))
 	}
 	sizeWSum := sum(sizeW) // invariant across draws; hoisted out of the loop
-	var masks [][]bool
-	var weights []float64
-	var backing []bool
-	if buf != nil {
-		if cap(buf.backing) < budget*d {
-			buf.backing = make([]bool, budget*d)
-		}
-		// The loop below only SETS bits on primary masks, so a reused
-		// backing must come in all-false.
-		backing = buf.backing[:budget*d]
-		clear(backing)
-		if cap(buf.masks) < budget {
-			buf.masks = make([][]bool, 0, budget)
-		}
-		if cap(buf.weights) < budget {
-			buf.weights = make([]float64, 0, budget)
-		}
-		masks, weights = buf.masks[:0], buf.weights[:0]
-	} else {
-		masks = make([][]bool, 0, budget)
-		//lint:allow poolalloc nil-buf fallback for one-shot callers; pooled callers hit the branch above
-		weights = make([]float64, 0, budget)
-		// One backing array carved into per-mask slices: a single allocation
-		// for the whole draw instead of one (or two) per iteration.
-		backing = make([]bool, budget*d)
-	}
+	backing, masks, weights := sc.drawStorage(budget, d)
 	nextMask := func() []bool {
 		m := backing[:d:d]
 		backing = backing[d:]
 		return m
 	}
-	var perm []int
-	if buf != nil {
-		if cap(buf.perm) < d {
-			buf.perm = make([]int, d)
-		}
-		perm = buf.perm[:d]
-	} else {
-		perm = make([]int, d)
+	if cap(sc.perm) < d {
+		sc.perm = make([]int, d)
 	}
+	perm := sc.perm[:d]
 	for i := range perm {
 		perm[i] = i
 	}
+	rng := sc.rng
 	for len(masks) < budget {
 		// Draw a size.
 		u := rng.Float64() * sizeWSum
@@ -540,11 +455,6 @@ func sampleCoalitionsBuf(rng *rand.Rand, d, budget int, buf *coalitionBuf) ([][]
 			weights = append(weights, 1)
 		}
 	}
-	if buf != nil {
-		// Keep the (possibly regrown) headers so the next draw from this
-		// buffer reuses their capacity.
-		buf.masks, buf.weights = masks, weights
-	}
 	return masks, weights
 }
 
@@ -568,6 +478,8 @@ func Exact(ctx context.Context, model ml.Predictor, background [][]float64, x []
 		return xai.Attribution{}, errors.New("shap: empty background")
 	}
 	k := &Kernel{Model: model, Background: background}
+	sc := getScratch()
+	defer sc.release()
 	// Precompute v(S) for all subsets, batched through the model's fast path.
 	n := 1 << uint(d)
 	//lint:allow poolalloc Exact is the one-shot reference API, not a serving path
@@ -581,7 +493,7 @@ func Exact(ctx context.Context, model ml.Predictor, background [][]float64, x []
 		}
 		masks[bits] = m
 	}
-	if err := k.evalCoalitions(ctx, x, masks, vals); err != nil {
+	if err := k.evalCoalitions(ctx, x, masks, vals, sc); err != nil {
 		return xai.Attribution{}, err
 	}
 	//lint:allow poolalloc Exact is the one-shot reference API, not a serving path

@@ -160,21 +160,21 @@ func (r *reduced) build(nodes []tree.Node, j int, x, b []float64) int32 {
 // order — matches the row-at-a-time evaluator, so results agree to within
 // floating-point reassociation of the per-tree weights (≪ 1e-9).
 // Cancellation is checked once per background row, the outer unit of work.
-func (e *maskedEvaluator) evalCoalitions(ctx context.Context, x []float64, bg [][]float64, masks [][]bool, vals []float64) error {
+func (e *maskedEvaluator) evalCoalitions(ctx context.Context, x []float64, bg [][]float64, masks [][]bool, vals []float64, sc *scratch) error {
 	nc := len(masks)
 	nb := len(bg)
 	// acc[bi*nc+ci] accumulates Σ_t w_t·tree_t(hybrid); the bi-major
 	// layout keeps each (tree, background) sweep writing one contiguous
-	// nc-length stripe. Pooled (and therefore pre-cleared — it is
-	// written with +=): this is the largest allocation of a forest
-	// Explain, nb·nc floats per call.
-	accp := getAcc(nb * nc)
-	defer putAcc(accp)
-	acc := *accp
-	// Pooled divergence-tree storage: reset (not reallocated) per
-	// (tree, background) pair, retained across Explain calls.
-	r := reducedPool.Get().(*reduced)
-	defer reducedPool.Put(r)
+	// nc-length stripe. It is written with +=, so the reused buffer is
+	// cleared first.
+	if cap(sc.acc) < nb*nc {
+		sc.acc = make([]float64, nb*nc)
+	}
+	acc := sc.acc[:nb*nc]
+	clear(acc)
+	// Divergence-tree storage: reset (not reallocated) per (tree,
+	// background) pair, retained across Explain calls.
+	r := &sc.red
 	for bi, b := range bg {
 		if err := xai.Canceled(ctx, "shap"); err != nil {
 			return err
