@@ -1,10 +1,10 @@
 package nfvxai
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// KernelSHAP coalition budget, LIME's kernel width, the random-forest
-// ensemble size, and the value of the paired (antithetic) coalition
-// sampling inside KernelSHAP. Each prints a small table; like the main
-// experiment benches, the output lands in bench_output.txt.
+// Ablation benchmarks for four design choices: the KernelSHAP coalition
+// budget, LIME's kernel width, the random-forest ensemble size, and the
+// value of the paired (antithetic) coalition sampling inside KernelSHAP.
+// Each prints a small table; like the main experiment benches, the output
+// lands in bench_output.txt.
 
 import (
 	"context"

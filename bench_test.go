@@ -1,14 +1,14 @@
 package nfvxai
 
 // The benchmarks below regenerate every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index). Each benchmark
-// prints the artifact's rows, so
+// evaluation (go run ./cmd/nfvxai -list prints the experiment index).
+// Each benchmark prints the artifact's rows, so
 //
 //	go test -bench=. -benchmem ./... | tee bench_output.txt
 //
 // doubles as the reproduction record. By default each experiment uses
 // NFVXAI_BENCH_HOURS (default 6) virtual hours of telemetry; set it to 24
-// for the full-size record used in EXPERIMENTS.md.
+// for the full-size record.
 
 import (
 	"bytes"

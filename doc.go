@@ -1,7 +1,6 @@
 // Package nfvxai is an explainable-AI toolkit for NFV management,
 // reproducing "Towards explainable artificial intelligence for network
-// function virtualization" (CoNEXT 2020) — see DESIGN.md for the scope
-// note and system inventory.
+// function virtualization" (CoNEXT 2020).
 //
 // The implementation lives under internal/: the NFV substrate
 // (internal/nfv/...), the from-scratch ML models (internal/ml/...), the
@@ -257,6 +256,3 @@
 // it fronts recycle their big allocations — coalition masks, LIME
 // neighborhoods, tree-path accumulators — through sync.Pools.
 package nfvxai
-
-// Version identifies the reproduction snapshot.
-const Version = "1.0.0"

@@ -71,7 +71,7 @@ func TestScaledModelPredictBatch(t *testing.T) {
 			continue
 		}
 		// One KernelSHAP evaluation block. Allocating a standardized
-		// vector per row, as Scaler.Transform does, costs 16,384.
+		// vector per row, as StandardScaler.Transform does, costs 16,384.
 		big := kernelRows(rng, p.Test.X[1], p.Background, 16384)
 		out := make([]float64, len(big))
 		if allocs := testing.AllocsPerRun(5, func() { sm.PredictBatch(big, out) }); allocs >= 100 {

@@ -45,11 +45,6 @@ type Scenario struct {
 // topology and workload rationale.
 func WebScenario() Scenario { return mustCompile(WebScenarioSpec()) }
 
-// FlashCrowdAt is a helper constructing a single flash-crowd slice.
-func FlashCrowdAt(startSec, durSec, mult float64) []traffic.FlashCrowd {
-	return []traffic.FlashCrowd{{StartSec: startSec, DurationSec: durSec, Multiplier: mult}}
-}
-
 // NATScenario is the tighter two-hop NAT+monitor chain, compiled from
 // NATScenarioSpec.
 func NATScenario() Scenario { return mustCompile(NATScenarioSpec()) }

@@ -132,14 +132,8 @@ func (r *ScenarioRegistry) AliasesOf(name string) []string {
 	return out
 }
 
-// Names returns every resolvable name — canonical names and aliases —
-// sorted.
-func (r *ScenarioRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
-
+// namesLocked returns every resolvable name — canonical names and
+// aliases — sorted. The caller holds r.mu.
 func (r *ScenarioRegistry) namesLocked() []string {
 	out := make([]string, 0, len(r.specs)+len(r.aliases))
 	for n := range r.specs {

@@ -31,7 +31,7 @@ func legacyWeb() Scenario {
 			PeakHour:         13,
 			BurstRatio:       4,
 			BurstRate:        0.02,
-			FlashCrowds:      FlashCrowdAt(11.5*3600, 1800, 2.2),
+			FlashCrowds:      []traffic.FlashCrowd{{StartSec: 11.5 * 3600, DurationSec: 1800, Multiplier: 2.2}},
 		},
 		SLO:      sla.SLO{MaxLatencyMs: 4, MaxLossRate: 0.01},
 		EpochSec: 5,

@@ -59,32 +59,6 @@ func (d *Dataset) Add(x []float64, y float64) {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Append adds deep copies of every example in other. The schemas must
-// match exactly (same task, same feature names in the same order): a
-// silent column mismatch would scramble features across sources, so it is
-// an error, not a best-effort merge.
-func (d *Dataset) Append(other *Dataset) error {
-	if other == nil {
-		return nil
-	}
-	if d.Task != other.Task {
-		return fmt.Errorf("dataset: append task %v to %v", other.Task, d.Task)
-	}
-	if len(d.Names) != len(other.Names) {
-		return fmt.Errorf("dataset: append %d features to %d", len(other.Names), len(d.Names))
-	}
-	for i, n := range other.Names {
-		if d.Names[i] != n {
-			return fmt.Errorf("dataset: append feature %d is %q, want %q", i, n, d.Names[i])
-		}
-	}
-	for i, row := range other.X {
-		d.X = append(d.X, append([]float64(nil), row...))
-		d.Y = append(d.Y, other.Y[i])
-	}
-	return nil
-}
-
 // DropFront removes the oldest n examples in place (all of them when
 // n >= Len). The backing arrays are compacted so long-running streaming
 // accumulators do not pin evicted rows.
@@ -187,35 +161,6 @@ func (d *Dataset) Split(rng *rand.Rand, trainFrac float64) (train, test *Dataset
 	train = &Dataset{Names: append([]string(nil), c.Names...), Task: c.Task, X: c.X[:cut], Y: c.Y[:cut]}
 	test = &Dataset{Names: append([]string(nil), c.Names...), Task: c.Task, X: c.X[cut:], Y: c.Y[cut:]}
 	return train, test
-}
-
-// KFold returns k (train, test) pairs covering the dataset. The dataset is
-// shuffled with rng before partitioning.
-func (d *Dataset) KFold(rng *rand.Rand, k int) []struct{ Train, Test *Dataset } {
-	if k < 2 || k > d.Len() {
-		panic("dataset: invalid fold count")
-	}
-	c := d.Clone()
-	c.Shuffle(rng)
-	folds := make([]struct{ Train, Test *Dataset }, k)
-	n := c.Len()
-	for f := 0; f < k; f++ {
-		lo := f * n / k
-		hi := (f + 1) * n / k
-		test := &Dataset{Names: c.Names, Task: c.Task}
-		train := &Dataset{Names: c.Names, Task: c.Task}
-		for i := 0; i < n; i++ {
-			if i >= lo && i < hi {
-				test.X = append(test.X, c.X[i])
-				test.Y = append(test.Y, c.Y[i])
-			} else {
-				train.X = append(train.X, c.X[i])
-				train.Y = append(train.Y, c.Y[i])
-			}
-		}
-		folds[f] = struct{ Train, Test *Dataset }{train, test}
-	}
-	return folds
 }
 
 // SelectFeatures returns a new dataset restricted to the named features,

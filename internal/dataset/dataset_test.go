@@ -101,24 +101,6 @@ func TestSplitPanics(t *testing.T) {
 	}
 }
 
-func TestKFoldPartition(t *testing.T) {
-	d := sample(Regression, 53, 5)
-	folds := d.KFold(rand.New(rand.NewSource(6)), 5)
-	if len(folds) != 5 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	total := 0
-	for _, f := range folds {
-		total += f.Test.Len()
-		if f.Train.Len()+f.Test.Len() != d.Len() {
-			t.Fatalf("fold does not partition: %d + %d != %d", f.Train.Len(), f.Test.Len(), d.Len())
-		}
-	}
-	if total != d.Len() {
-		t.Fatalf("test folds cover %d of %d", total, d.Len())
-	}
-}
-
 func TestSelectAndDropFeatures(t *testing.T) {
 	d := sample(Regression, 5, 7)
 	s := d.SelectFeatures("c", "a")
@@ -217,14 +199,6 @@ func TestStandardScaler(t *testing.T) {
 			t.Fatalf("col %d mean %v after standardize", j, mean)
 		}
 	}
-	// Round trip.
-	x := d.X[5]
-	back := s.Inverse(s.Transform(x))
-	for j := range x {
-		if math.Abs(back[j]-x[j]) > 1e-9 {
-			t.Fatalf("inverse transform mismatch at %d", j)
-		}
-	}
 }
 
 func TestStandardScalerConstantColumn(t *testing.T) {
@@ -236,26 +210,6 @@ func TestStandardScalerConstantColumn(t *testing.T) {
 	got := s.Transform([]float64{7})
 	if got[0] != 0 {
 		t.Fatalf("constant column transform = %v", got)
-	}
-}
-
-func TestMinMaxScaler(t *testing.T) {
-	d := sample(Regression, 300, 13)
-	s := FitMinMax(d)
-	scaled := Apply(d, s)
-	for j := 0; j < scaled.NumFeatures(); j++ {
-		for _, v := range scaled.Column(j) {
-			if v < -1e-12 || v > 1+1e-12 {
-				t.Fatalf("minmax out of range: %v", v)
-			}
-		}
-	}
-	x := d.X[0]
-	back := s.Inverse(s.Transform(x))
-	for j := range x {
-		if math.Abs(back[j]-x[j]) > 1e-9 {
-			t.Fatalf("minmax inverse mismatch at %d", j)
-		}
 	}
 }
 
@@ -348,39 +302,6 @@ func TestPropertySplitPreservesRows(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAppendSchemaCheck(t *testing.T) {
-	d := sample(Regression, 5, 1)
-	other := sample(Regression, 3, 2)
-	if err := d.Append(other); err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 8 {
-		t.Fatalf("len %d after append", d.Len())
-	}
-	// Deep copy: mutating the source must not reach the destination.
-	other.X[0][0] = 999
-	if d.X[5][0] == 999 {
-		t.Fatal("append aliased source rows")
-	}
-	if err := d.Append(nil); err != nil || d.Len() != 8 {
-		t.Fatal("nil append should be a no-op")
-	}
-	// Task mismatch.
-	if err := d.Append(sample(Classification, 2, 3)); err == nil {
-		t.Fatal("task mismatch accepted")
-	}
-	// Width mismatch.
-	if err := d.Append(New(Regression, "a", "b")); err == nil {
-		t.Fatal("width mismatch accepted")
-	}
-	// Name mismatch.
-	renamed := sample(Regression, 2, 4)
-	renamed.Names[2] = "zzz"
-	if err := d.Append(renamed); err == nil {
-		t.Fatal("name mismatch accepted")
 	}
 }
 

@@ -2,16 +2,9 @@ package dataset
 
 import "math"
 
-// Scaler transforms feature vectors; fitted on training data and applied to
-// train and test alike so no test statistics leak into training.
-type Scaler interface {
-	// Transform maps a raw feature vector to scaled space (new slice).
-	Transform(x []float64) []float64
-	// Inverse maps a scaled vector back to raw space (new slice).
-	Inverse(x []float64) []float64
-}
-
-// StandardScaler centers each feature to zero mean and unit variance.
+// StandardScaler centers each feature to zero mean and unit variance. It
+// is fitted on training data and applied to train and test alike, so no
+// test statistics leak into training.
 type StandardScaler struct {
 	Mean, Std []float64
 }
@@ -51,7 +44,7 @@ func FitStandard(d *Dataset) *StandardScaler {
 	return s
 }
 
-// Transform implements Scaler.
+// Transform maps a raw feature vector to scaled space (new slice).
 func (s *StandardScaler) Transform(x []float64) []float64 {
 	out := make([]float64, len(x))
 	for j, v := range x {
@@ -60,71 +53,8 @@ func (s *StandardScaler) Transform(x []float64) []float64 {
 	return out
 }
 
-// Inverse implements Scaler.
-func (s *StandardScaler) Inverse(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = v*s.Std[j] + s.Mean[j]
-	}
-	return out
-}
-
-// MinMaxScaler maps each feature to [0, 1] based on the fitted range.
-type MinMaxScaler struct {
-	Min, Max []float64
-}
-
-// FitMinMax fits a MinMaxScaler on d. Constant columns map to 0.
-func FitMinMax(d *Dataset) *MinMaxScaler {
-	p := d.NumFeatures()
-	s := &MinMaxScaler{Min: make([]float64, p), Max: make([]float64, p)}
-	for j := 0; j < p; j++ {
-		s.Min[j] = math.Inf(1)
-		s.Max[j] = math.Inf(-1)
-	}
-	for _, row := range d.X {
-		for j, v := range row {
-			if v < s.Min[j] {
-				s.Min[j] = v
-			}
-			if v > s.Max[j] {
-				s.Max[j] = v
-			}
-		}
-	}
-	if d.Len() == 0 {
-		for j := 0; j < p; j++ {
-			s.Min[j], s.Max[j] = 0, 1
-		}
-	}
-	return s
-}
-
-// Transform implements Scaler.
-func (s *MinMaxScaler) Transform(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		span := s.Max[j] - s.Min[j]
-		if span == 0 {
-			out[j] = 0
-			continue
-		}
-		out[j] = (v - s.Min[j]) / span
-	}
-	return out
-}
-
-// Inverse implements Scaler.
-func (s *MinMaxScaler) Inverse(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = v*(s.Max[j]-s.Min[j]) + s.Min[j]
-	}
-	return out
-}
-
 // Apply returns a copy of d with every row passed through the scaler.
-func Apply(d *Dataset, s Scaler) *Dataset {
+func Apply(d *Dataset, s *StandardScaler) *Dataset {
 	out := d.Clone()
 	for i, row := range out.X {
 		out.X[i] = s.Transform(row)

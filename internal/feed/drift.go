@@ -104,12 +104,6 @@ func NewDriftMonitor(cfg DriftConfig) *DriftMonitor {
 	return &DriftMonitor{cfg: cfg.withDefaults()}
 }
 
-// Config returns the defaulted configuration.
-func (m *DriftMonitor) Config() DriftConfig { return m.cfg }
-
-// Seen returns how many observations the monitor has consumed.
-func (m *DriftMonitor) Seen() uint64 { return m.seen }
-
 // BaselineReady reports whether the reference window is frozen.
 func (m *DriftMonitor) BaselineReady() bool { return m.frozen }
 

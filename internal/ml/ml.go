@@ -100,20 +100,3 @@ func PredictBatchParallel(m Predictor, X [][]float64, out []float64, workers int
 		}
 	})
 }
-
-// Classify thresholds a probability-output model at 0.5.
-func Classify(m Predictor, x []float64) float64 {
-	if m.Predict(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// ClassifyBatch thresholds predictions for every row of X.
-func ClassifyBatch(m Predictor, X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = Classify(m, x)
-	}
-	return out
-}

@@ -436,15 +436,6 @@ func (m *MLP) InputDim() int {
 	return m.dims[0]
 }
 
-// NumParams returns the trainable parameter count.
-func (m *MLP) NumParams() int {
-	c := 0
-	for _, w := range m.weights {
-		c += len(w)
-	}
-	return c
-}
-
 func sigmoid(z float64) float64 {
 	if z >= 0 {
 		return 1 / (1 + math.Exp(-z))

@@ -157,21 +157,6 @@ func TestMLPPredictWidthPanics(t *testing.T) {
 	m.Predict([]float64{1})
 }
 
-func TestMLPNumParams(t *testing.T) {
-	d := dataset.New(dataset.Regression, "a", "b", "c")
-	for i := 0; i < 10; i++ {
-		d.Add([]float64{1, 2, 3}, 1)
-	}
-	m := MLP{Hidden: []int{5}, Epochs: 1, Task: dataset.Regression}
-	if err := m.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	// (3+1)*5 + (5+1)*1 = 26.
-	if got := m.NumParams(); got != 26 {
-		t.Fatalf("NumParams = %d want 26", got)
-	}
-}
-
 func TestMLPL2Regularizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	d := dataset.New(dataset.Regression, "x")

@@ -244,34 +244,6 @@ func (t *Tree) LeafIndex(x []float64) int {
 	}
 }
 
-// DecisionStep records one routing decision on a prediction path; used by
-// the operator-facing explanation reports.
-type DecisionStep struct {
-	Feature   int
-	Threshold float64
-	Value     float64 // the feature value observed
-	Left      bool    // whether x went left (<= threshold)
-}
-
-// DecisionPath returns the sequence of split decisions for x.
-func (t *Tree) DecisionPath(x []float64) []DecisionStep {
-	var path []DecisionStep
-	i := 0
-	for {
-		n := t.Nodes[i]
-		if n.IsLeaf() {
-			return path
-		}
-		left := x[n.Feature] <= n.Threshold
-		path = append(path, DecisionStep{Feature: n.Feature, Threshold: n.Threshold, Value: x[n.Feature], Left: left})
-		if left {
-			i = n.Left
-		} else {
-			i = n.Right
-		}
-	}
-}
-
 // Depth returns the maximum depth of the tree (root = 0).
 func (t *Tree) Depth() int {
 	var rec func(i, d int) int

@@ -164,35 +164,6 @@ func TestLeafValueIsSubsetMean(t *testing.T) {
 	}
 }
 
-func TestDecisionPath(t *testing.T) {
-	d := stepDataset(500, 9)
-	tr := New(Config{Task: dataset.Regression, MaxDepth: 4})
-	if err := tr.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{8.5, 0}
-	path := tr.DecisionPath(x)
-	if len(path) == 0 {
-		t.Fatal("empty decision path on non-stump tree")
-	}
-	// Replaying the path must reach the same leaf as LeafIndex.
-	i := 0
-	for _, step := range path {
-		n := tr.Nodes[i]
-		if n.Feature != step.Feature || n.Threshold != step.Threshold {
-			t.Fatal("path does not match tree structure")
-		}
-		if step.Left {
-			i = n.Left
-		} else {
-			i = n.Right
-		}
-	}
-	if i != tr.LeafIndex(x) {
-		t.Fatal("path leaf != LeafIndex leaf")
-	}
-}
-
 func TestFitIndicesBootstrap(t *testing.T) {
 	d := stepDataset(300, 10)
 	rng := rand.New(rand.NewSource(11))

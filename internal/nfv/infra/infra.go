@@ -33,9 +33,6 @@ func (n *Node) hz() float64 {
 // CapacityCycles returns the node's usable cycles/sec.
 func (n *Node) CapacityCycles() float64 { return float64(n.Cores) * n.hz() }
 
-// Placed returns the instances on this node.
-func (n *Node) Placed() []*vnf.Instance { return n.placed }
-
 // Cluster is a set of nodes with instance placement.
 type Cluster struct {
 	Nodes []*Node

@@ -1,108 +1,18 @@
-// Package telemetry implements the monitoring plane of the NFV substrate:
-// atomic counters and gauges that data-plane components bump and a
-// collector polls periodically (the XDP/eBPF counter-map pattern), plus
-// the per-epoch Record structure and the feature extraction that turns a
-// telemetry window into the tabular rows consumed by the ML models.
+// Package telemetry is the monitoring plane of the NFV substrate: the
+// per-epoch Record of one chain (offered demand, chain result, core
+// allocation), a fixed-size sliding Window of records, and the feature
+// extraction that turns a window into the tabular rows the ML models
+// train on and explain.
 package telemetry
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/nfv/chain"
 	"nfvxai/internal/nfv/traffic"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an atomically settable float value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Registry names counters and gauges. It is safe for concurrent use.
-type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{counters: map[string]*Counter{}, gauges: map[string]*Gauge{}}
-}
-
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Snapshot returns all metric values by name (counters as float64).
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]float64, len(r.counters)+len(r.gauges))
-	for name, c := range r.counters {
-		out[name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	return out
-}
-
-// Names returns all metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Record is the telemetry of one chain over one epoch — the raw material
 // for both dashboards and training data. The JSON tags define the wire

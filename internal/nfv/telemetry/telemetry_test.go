@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"nfvxai/internal/dataset"
@@ -10,52 +9,6 @@ import (
 	"nfvxai/internal/nfv/traffic"
 	"nfvxai/internal/nfv/vnf"
 )
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("counter = %d want 8000", c.Value())
-	}
-}
-
-func TestGaugeSetValue(t *testing.T) {
-	var g Gauge
-	g.Set(3.25)
-	if g.Value() != 3.25 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-	g.Set(-1)
-	if g.Value() != -1 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("rx_packets").Add(5)
-	r.Gauge("cpu_util").Set(0.7)
-	// Same name returns the same metric.
-	r.Counter("rx_packets").Add(3)
-	snap := r.Snapshot()
-	if snap["rx_packets"] != 8 || snap["cpu_util"] != 0.7 {
-		t.Fatalf("snapshot %v", snap)
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "cpu_util" || names[1] != "rx_packets" {
-		t.Fatalf("names %v", names)
-	}
-}
 
 func TestWindowEviction(t *testing.T) {
 	w := NewWindow(3)

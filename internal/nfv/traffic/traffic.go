@@ -11,9 +11,18 @@ import (
 	"math"
 	"math/rand"
 
-	"nfvxai/internal/nfv/packet"
 	"nfvxai/internal/stats"
 )
+
+// The per-flow shape every profile shares: packets per flow are Pareto
+// (xm=4, alpha=1.5: heavy tailed, mean 12), flow lifetimes lognormal
+// (mean ≈ 4 s), and smallPktFrac of packets are 64 bytes, the rest 1500.
+var (
+	flowPackets     = stats.Pareto{Xm: 4, Alpha: 1.5}
+	flowDurationSec = stats.LogNormal{Mu: 1.2, Sigma: 0.6}
+)
+
+const smallPktFrac = 0.5
 
 // FlashCrowd is a transient load surge (e.g. a viral event).
 type FlashCrowd struct {
@@ -37,29 +46,11 @@ type Profile struct {
 	BurstRate  float64
 	// FlashCrowds lists transient surges.
 	FlashCrowds []FlashCrowd
-	// FlowPackets is the packets-per-flow distribution (default Pareto
-	// xm=4, alpha=1.5: heavy tailed, mean 12).
-	FlowPackets stats.Sampler
-	// FlowDurationSec is the flow lifetime distribution (default
-	// lognormal mean ≈ 5 s).
-	FlowDurationSec stats.Sampler
-	// SmallPktFrac is the fraction of 64-byte packets; the rest are 1500
-	// bytes (default 0.5).
-	SmallPktFrac float64
 	// Seed drives all randomness of this generator.
 	Seed int64
 }
 
 func (p Profile) withDefaults() Profile {
-	if p.FlowPackets == nil {
-		p.FlowPackets = stats.Pareto{Xm: 4, Alpha: 1.5}
-	}
-	if p.FlowDurationSec == nil {
-		p.FlowDurationSec = stats.LogNormal{Mu: 1.2, Sigma: 0.6} // mean ≈ 4 s
-	}
-	if p.SmallPktFrac <= 0 || p.SmallPktFrac >= 1 {
-		p.SmallPktFrac = 0.5
-	}
 	if p.BurstRatio < 1 {
 		p.BurstRatio = 1
 	}
@@ -166,8 +157,8 @@ func (g *Generator) Next(dtSec float64) Demand {
 		}
 		var pktSum, durSum, byteSum float64
 		for i := 0; i < sampleN; i++ {
-			pkts := g.profile.FlowPackets.Sample(g.rng)
-			dur := math.Max(0.5, g.profile.FlowDurationSec.Sample(g.rng))
+			pkts := flowPackets.Sample(g.rng)
+			dur := math.Max(0.5, flowDurationSec.Sample(g.rng))
 			avgPkt := g.samplePktSize()
 			pktSum += pkts / dur
 			byteSum += pkts / dur * avgPkt
@@ -214,35 +205,8 @@ func (g *Generator) Next(dtSec float64) Demand {
 }
 
 func (g *Generator) samplePktSize() float64 {
-	if g.rng.Float64() < g.profile.SmallPktFrac {
+	if g.rng.Float64() < smallPktFrac {
 		return 64
 	}
 	return 1500
-}
-
-// SamplePacket synthesizes one representative packet's bytes for the
-// current traffic mix (used by DPI-style VNFs and tests).
-func (g *Generator) SamplePacket() []byte {
-	b := packet.Builder{
-		SrcIP: [4]byte{10, 0, byte(g.rng.Intn(256)), byte(g.rng.Intn(256))},
-		DstIP: [4]byte{192, 168, byte(g.rng.Intn(256)), byte(g.rng.Intn(256))},
-		ID:    uint16(g.rng.Intn(65536)),
-	}
-	size := int(g.samplePktSize())
-	payloadLen := size - 14 - 20 - 20
-	if payloadLen < 0 {
-		payloadLen = 10
-	}
-	payload := make([]byte, payloadLen)
-	for i := range payload {
-		payload[i] = byte(g.rng.Intn(256))
-	}
-	if g.rng.Float64() < 0.8 {
-		return b.BuildTCP(packet.TCPOpts{
-			SrcPort: uint16(1024 + g.rng.Intn(64000)),
-			DstPort: []uint16{80, 443, 8080, 53}[g.rng.Intn(4)],
-			ACK:     true,
-		}, payload)
-	}
-	return b.BuildUDP(uint16(1024+g.rng.Intn(64000)), 53, payload)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"nfvxai/internal/nfv/packet"
 	"nfvxai/internal/stats"
 )
 
@@ -126,42 +125,14 @@ func TestDeterministicSeed(t *testing.T) {
 	}
 }
 
-func TestSamplePacketDecodes(t *testing.T) {
-	g := NewGenerator(Profile{BaseFPS: 10, Seed: 8})
-	tcp, udp := 0, 0
-	for i := 0; i < 300; i++ {
-		raw := g.SamplePacket()
-		p := packet.Decode(raw)
-		if p.Err() != nil {
-			t.Fatalf("sample packet invalid: %v", p.Err())
-		}
-		if _, ok := p.FiveTuple(); !ok {
-			t.Fatal("sample packet has no five-tuple")
-		}
-		switch p.TransportLayer().(type) {
-		case *packet.TCP:
-			tcp++
-		case *packet.UDP:
-			udp++
-		}
-	}
-	if tcp == 0 || udp == 0 {
-		t.Fatalf("protocol mix degenerate: tcp=%d udp=%d", tcp, udp)
-	}
-	if tcp < udp {
-		t.Fatalf("expected TCP-dominant mix: tcp=%d udp=%d", tcp, udp)
-	}
-}
-
 func TestHeavyTailFlowSizes(t *testing.T) {
-	// Default Pareto flow sizes: max/mean ratio must be large over many
+	// Pareto flow sizes: max/mean ratio must be large over many
 	// samples (heavy tail), unlike an exponential.
-	p := Profile{BaseFPS: 1, Seed: 9}.withDefaults()
-	rng := NewGenerator(p).rng
+	rng := NewGenerator(Profile{BaseFPS: 1, Seed: 9}).rng
 	var w stats.Welford
 	maxV := 0.0
 	for i := 0; i < 20000; i++ {
-		v := p.FlowPackets.Sample(rng)
+		v := flowPackets.Sample(rng)
 		w.Add(v)
 		if v > maxV {
 			maxV = v

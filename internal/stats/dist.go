@@ -5,25 +5,6 @@ import (
 	"math/rand"
 )
 
-// Sampler draws random variates. All distribution types in this package
-// implement it against an explicit PRNG for reproducibility.
-type Sampler interface {
-	Sample(rng *rand.Rand) float64
-}
-
-// Exponential is an exponential distribution with the given rate (λ > 0).
-type Exponential struct {
-	Rate float64
-}
-
-// Sample draws a variate.
-func (d Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() / d.Rate
-}
-
-// Mean returns the distribution mean 1/λ.
-func (d Exponential) Mean() float64 { return 1 / d.Rate }
-
 // Pareto is a Pareto (Type I) distribution with scale Xm > 0 and shape
 // Alpha > 0. Heavy-tailed flow sizes use Alpha in (1, 2).
 type Pareto struct {
@@ -62,34 +43,6 @@ func (d LogNormal) Sample(rng *rand.Rand) float64 {
 // Mean returns the distribution mean exp(mu + sigma²/2).
 func (d LogNormal) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
 
-// Normal is a normal distribution.
-type Normal struct {
-	Mu, Sigma float64
-}
-
-// Sample draws a variate.
-func (d Normal) Sample(rng *rand.Rand) float64 {
-	return d.Mu + d.Sigma*rng.NormFloat64()
-}
-
-// Uniform is a uniform distribution on [Lo, Hi).
-type Uniform struct {
-	Lo, Hi float64
-}
-
-// Sample draws a variate.
-func (d Uniform) Sample(rng *rand.Rand) float64 {
-	return d.Lo + (d.Hi-d.Lo)*rng.Float64()
-}
-
-// Deterministic always returns Value; useful to disable randomness in tests.
-type Deterministic struct {
-	Value float64
-}
-
-// Sample returns the fixed value.
-func (d Deterministic) Sample(*rand.Rand) float64 { return d.Value }
-
 // Poisson draws a Poisson-distributed count with the given mean. It uses
 // Knuth's product method for small means and a normal approximation above
 // 30 (adequate for workload synthesis).
@@ -114,32 +67,6 @@ func Poisson(rng *rand.Rand, mean float64) int {
 		}
 		k++
 	}
-}
-
-// Bernoulli returns true with probability p.
-func Bernoulli(rng *rand.Rand, p float64) bool { return rng.Float64() < p }
-
-// Categorical draws an index from the (unnormalized, non-negative) weight
-// vector w. It panics if all weights are zero or any is negative.
-func Categorical(rng *rand.Rand, w []float64) int {
-	var total float64
-	for _, v := range w {
-		if v < 0 {
-			panic("stats: Categorical negative weight")
-		}
-		total += v
-	}
-	if total == 0 {
-		panic("stats: Categorical zero total weight")
-	}
-	u := rng.Float64() * total
-	for i, v := range w {
-		u -= v
-		if u < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }
 
 // MMPP2 is a two-state Markov-modulated Poisson process: a bursty arrival

@@ -1,8 +1,10 @@
-// Package stats provides the statistical primitives shared across the
-// repository: summary statistics, quantiles, rank transforms, correlation
-// coefficients, and the random-variate generators used by the traffic and
-// workload synthesizers. All generators take an explicit *rand.Rand so
-// every experiment in the repository is reproducible from a seed.
+// Package stats provides the statistical primitives the repository
+// shares: Spearman rank correlation (over fractional ranks) for comparing
+// attributions, a running mean/variance accumulator, and the seeded
+// random-variate generators behind the traffic synthesizer — Pareto and
+// lognormal flow shapes, Poisson counts and a two-state MMPP burst
+// process. Every generator takes an explicit *rand.Rand so every
+// experiment in the repository is reproducible from a seed.
 package stats
 
 import (
@@ -36,31 +38,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	var s float64
@@ -68,50 +45,6 @@ func Sum(xs []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It panics on an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantile of empty slice")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Quantiles returns multiple quantiles with a single sort.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	if len(xs) == 0 {
-		panic("stats: Quantiles of empty slice")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
-	}
-	return out
 }
 
 // Ranks returns the fractional ranks of xs (average rank for ties),
@@ -168,88 +101,6 @@ func Spearman(xs, ys []float64) float64 {
 	return Pearson(Ranks(xs), Ranks(ys))
 }
 
-// KendallTau returns the Kendall tau-b rank correlation of xs and ys.
-// O(n²); fine for the explanation-agreement sizes used here.
-func KendallTau(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: KendallTau length mismatch")
-	}
-	n := len(xs)
-	var concordant, discordant, tiesX, tiesY float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := xs[i] - xs[j]
-			dy := ys[i] - ys[j]
-			switch {
-			case dx == 0 && dy == 0:
-				// tie in both: ignored by tau-b numerator and both denominators
-			case dx == 0:
-				tiesX++
-			case dy == 0:
-				tiesY++
-			case dx*dy > 0:
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	den := math.Sqrt((concordant + discordant + tiesX) * (concordant + discordant + tiesY))
-	if den == 0 {
-		return 0
-	}
-	return (concordant - discordant) / den
-}
-
-// Summary bundles the descriptive statistics reported by telemetry windows.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Max      float64
-	P50, P90, P95 float64
-	P99           float64
-}
-
-// Summarize computes a Summary of xs. An empty input yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	qs := Quantiles(xs, 0.50, 0.90, 0.95, 0.99)
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  Min(xs),
-		Max:  Max(xs),
-		P50:  qs[0],
-		P90:  qs[1],
-		P95:  qs[2],
-		P99:  qs[3],
-	}
-}
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	Alpha float64 // smoothing factor in (0, 1]
-	value float64
-	init  bool
-}
-
-// Update folds x into the average and returns the new value.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.Alpha*x + (1-e.Alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before the first Update).
-func (e *EWMA) Value() float64 { return e.value }
-
 // Welford maintains running mean/variance without storing samples.
 type Welford struct {
 	n    int
@@ -278,6 +129,3 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n)
 }
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }

@@ -102,36 +102,11 @@ func DeletionGap(model ml.Predictor, x []float64, attr xai.Attribution, backgrou
 	return randAUC - guided.AUC(), nil
 }
 
-// Stability measures explanation robustness: explain x and noisy copies
-// x+ε, and report the mean Spearman rank correlation between the original
-// attribution and each noisy attribution. 1.0 = perfectly stable.
-func Stability(ctx context.Context, explainer xai.Explainer, x []float64, sigma float64, trials int, seed int64) (float64, error) {
-	if trials <= 0 {
-		trials = 5
-	}
-	base, err := explainer.Explain(ctx, x)
-	if err != nil {
-		return 0, err
-	}
-	rng := rand.New(rand.NewSource(seed + 0x57AB))
-	var total float64
-	noisy := make([]float64, len(x))
-	for t := 0; t < trials; t++ {
-		for j := range x {
-			noisy[j] = x[j] + rng.NormFloat64()*sigma
-		}
-		a, err := explainer.Explain(ctx, noisy)
-		if err != nil {
-			return 0, err
-		}
-		total += stats.Spearman(absVec(base.Phi), absVec(a.Phi))
-	}
-	return total / float64(trials), nil
-}
-
-// StabilityScaled is Stability with per-feature noise scales (sigma[j] is
-// the noise std for feature j), which is what heterogeneous telemetry
-// features require.
+// StabilityScaled measures explanation robustness: explain x and noisy
+// copies x+ε with ε_j ~ N(0, sigma[j]²), and report the mean Spearman rank
+// correlation between the original |attribution| and each noisy one
+// (1.0 = perfectly stable). Per-feature noise scales are what
+// heterogeneous telemetry features require.
 func StabilityScaled(ctx context.Context, explainer xai.Explainer, x []float64, sigma []float64, trials int, seed int64) (float64, error) {
 	if len(sigma) != len(x) {
 		return 0, errors.New("evalx: sigma length mismatch")
@@ -212,24 +187,6 @@ func SummarizeFidelity(attrs []xai.Attribution) FidelitySummary {
 		s.MeanAdditivityErr /= float64(s.N)
 	}
 	return s
-}
-
-// Sparsity returns the fraction of attribution mass concentrated in the
-// top-k features; concentrated explanations are easier for operators to
-// act on.
-func Sparsity(attr xai.Attribution, k int) float64 {
-	var total float64
-	for _, p := range attr.Phi {
-		total += math.Abs(p)
-	}
-	if total == 0 {
-		return 0
-	}
-	var top float64
-	for _, j := range attr.TopK(k) {
-		top += math.Abs(attr.Phi[j])
-	}
-	return top / total
 }
 
 func absVec(xs []float64) []float64 {

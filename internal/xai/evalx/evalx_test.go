@@ -98,9 +98,11 @@ func (f fixedExplainer) Explain(_ context.Context, x []float64) (xai.Attribution
 }
 
 func TestStabilityPerfectAndNoisy(t *testing.T) {
+	x := []float64{1, 1, 1}
+	sigma := []float64{0.5, 0.5, 0.5}
 	// An explainer that ignores the input is perfectly stable.
 	stable := fixedExplainer{phi: func(x []float64) []float64 { return []float64{3, 2, 1} }}
-	s, err := Stability(context.Background(), stable, []float64{1, 1, 1}, 0.5, 5, 1)
+	s, err := StabilityScaled(context.Background(), stable, x, sigma, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +114,30 @@ func TestStabilityPerfectAndNoisy(t *testing.T) {
 	unstable := fixedExplainer{phi: func(x []float64) []float64 {
 		return []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}}
-	u, err := Stability(context.Background(), unstable, []float64{1, 1, 1}, 0.5, 20, 3)
+	u, err := StabilityScaled(context.Background(), unstable, x, sigma, 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u >= s {
 		t.Fatalf("unstable %v should score below stable %v", u, s)
+	}
+}
+
+// TestStabilityScaledSigmaLength: a sigma vector whose length differs
+// from x is an error, returned before anything is explained.
+func TestStabilityScaledSigmaLength(t *testing.T) {
+	calls := 0
+	counting := fixedExplainer{phi: func(x []float64) []float64 {
+		calls++
+		return []float64{3, 2, 1}
+	}}
+	for _, sigma := range [][]float64{nil, {0.5, 0.5}, {0.5, 0.5, 0.5, 0.5}} {
+		if _, err := StabilityScaled(context.Background(), counting, []float64{1, 1, 1}, sigma, 5, 1); err == nil {
+			t.Fatalf("sigma of length %d accepted for 3 features", len(sigma))
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("explained %d times before rejecting sigma", calls)
 	}
 }
 
@@ -166,18 +186,5 @@ func TestSummarizeFidelity(t *testing.T) {
 	}
 	if z := SummarizeFidelity(nil); z.N != 0 {
 		t.Fatal("empty summary")
-	}
-}
-
-func TestSparsity(t *testing.T) {
-	a := xai.Attribution{Phi: []float64{8, 1, 1}}
-	if got := Sparsity(a, 1); math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("sparsity = %v", got)
-	}
-	if got := Sparsity(a, 3); got != 1 {
-		t.Fatalf("full sparsity = %v", got)
-	}
-	if Sparsity(xai.Attribution{Phi: []float64{0, 0}}, 1) != 0 {
-		t.Fatal("zero attribution sparsity")
 	}
 }

@@ -112,14 +112,3 @@ func (e *Explainer) Explain(ctx context.Context, x []float64) (xai.Attribution, 
 		Value: e.Model.Predict(x),
 	}, nil
 }
-
-// Saliency returns the plain input-gradient attribution g(x) ⊙ x−baseline
-// (a single-step approximation, for comparison in ablations).
-func Saliency(m GradModel, x, baseline []float64) []float64 {
-	g := m.Gradient(x)
-	out := make([]float64, len(x))
-	for j := range out {
-		out[j] = g[j] * (x[j] - baseline[j])
-	}
-	return out
-}

@@ -177,11 +177,3 @@ func TestIntegratedGradientsOnMLP(t *testing.T) {
 		t.Fatalf("signal not ranked above noise: %v", attr.Phi)
 	}
 }
-
-func TestSaliency(t *testing.T) {
-	got := Saliency(quadModel{}, []float64{1, 2}, []float64{0, 0})
-	// g(x) = [3−4, 4−2] = [−1, 2]; saliency = g ⊙ (x−b) = [−1, 4].
-	if got[0] != -1 || got[1] != 4 {
-		t.Fatalf("saliency %v", got)
-	}
-}

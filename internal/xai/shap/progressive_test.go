@@ -149,14 +149,18 @@ func TestProgressivePartialOnDeadline(t *testing.T) {
 		x[j] = rng.NormFloat64()
 	}
 	bg := randomBackground(rng, 8, d)
-	// ~6 µs per prediction × 8 background rows × 32-coalition blocks ≈
-	// 1.5 ms per block: a 30 ms deadline admits a handful of blocks but
-	// nowhere near the 1<<20 budget.
+	// A 6 µs time.Sleep lasts longer than asked: tens of µs with idle Ps,
+	// about 1 ms at GOMAXPROCS=1. So one 32-coalition block (256
+	// predictions over 8 background rows) costs ~5 ms to ~300 ms, and the
+	// 1<<20 budget at least 50 s. The deadline only bounds how long the
+	// test samples. The test fails only when the deadline passes before
+	// the first block starts, after the base value's 9 predictions, so
+	// the deadline sits far above that.
 	k := progressiveKernel(slowModel{linearModel{w: w, c: 1}, 6 * time.Microsecond}, bg)
 	k.NumSamples = 1 << 20
 	k.BlockSamples = 32
 	k.ConvergeTol = -1
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	attr, err := k.Explain(ctx, x)
 	if err != nil {

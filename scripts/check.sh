@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the full local gate, mirroring what CI runs: tier-1
-# (build + tests), the lint wall (gofmt, go vet, nfvlint, and
-# staticcheck/govulncheck when installed), and a short fuzz smoke over
-# the three hostile-input surfaces. Run it from anywhere inside the
-# repo before pushing.
+# (build + tests), the lint wall (gofmt, go vet, nfvlint, the
+# orphan-package check, and staticcheck/govulncheck when installed), and
+# a short fuzz smoke over the three hostile-input surfaces. Run it from
+# anywhere inside the repo before pushing.
 #
 #   ./scripts/check.sh            # everything: ~4.5 min on 2 vCPUs with a
 #                                 # cold test cache, ~3 min warm
@@ -26,6 +26,16 @@ go vet ./...
 
 step nfvlint
 go run ./cmd/nfvlint ./...
+
+# Every internal package must be linked by a cmd, an example or
+# explainbench; only the three test-only packages are exempt.
+step "orphan packages"
+orphans=$(comm -23 <(go list ./internal/... | sort) \
+  <({ go list -deps ./cmd/... ./examples/...; cd explainbench && go list -deps .; } | sort -u) |
+  grep -vxE 'nfvxai/internal/(chaos|testutil/leakcheck|analysis/analysistest)' || true)
+if [ -n "$orphans" ]; then
+  echo "packages that no cmd, example or explainbench links:" && echo "$orphans" && exit 1
+fi
 
 # Optional linters: CI installs pinned versions (see
 # .github/workflows/ci.yml); locally they run only when already on PATH
