@@ -68,8 +68,13 @@
 // ensembles into per-(tree, background) divergence trees so each
 // coalition is a handful of mask lookups. External models that implement
 // only Predict keep working through a worker-chunked fallback with
-// identical results. Benchmark pairs in perf_bench_test.go quantify the
-// win (see BENCH_PR2.json and the Performance section of API.md).
+// identical results. TreeSHAP, the default explainer of every tree
+// model, recurses over one depth × width path arena per explain and
+// computes each tree's expected value once per explainer, so a 40-tree
+// forest explain makes 4 allocations instead of 9,333 and runs about
+// 1.8× faster (BENCH_PR22.json). Benchmark pairs in perf_bench_test.go
+// quantify the win (see BENCH_PR2.json and the Performance section of
+// API.md).
 //
 // # The kernel plane
 //

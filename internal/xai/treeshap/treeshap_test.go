@@ -2,13 +2,17 @@ package treeshap
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/ml/forest"
 	"nfvxai/internal/ml/tree"
+	"nfvxai/internal/xai"
 )
 
 // expValue is the brute-force path-dependent conditional expectation
@@ -115,7 +119,8 @@ func TestTreeSHAPMatchesBruteForce(t *testing.T) {
 				x[j] = rng.Float64() * 1.2
 			}
 			want := bruteShapley(tr, x)
-			got := shapTree(tr, x)
+			got := make([]float64, len(x))
+			shapTree(tr, x, got, make([]pathElem, pathLen(tr.Depth(), len(x))))
 			for j := range want {
 				if math.Abs(got[j]-want[j]) > 1e-9 {
 					t.Fatalf("seed %d trial %d: phi[%d] = %v want %v (leaves=%d depth=%d)\nx=%v",
@@ -131,11 +136,17 @@ func TestTreeSHAPAdditivity(t *testing.T) {
 	tr, _ := randomTree(t, 42, 6, 8, 500)
 	e := &Explainer{Model: Single(tr)}
 	rng := rand.New(rand.NewSource(43))
+	var rows [][]float64
 	for i := 0; i < 30; i++ {
 		x := make([]float64, 6)
 		for j := range x {
 			x[j] = rng.Float64()
 		}
+		rows = append(rows, x)
+	}
+	// A NaN feature must be explained down the branch Predict takes.
+	rows = append(rows, withNaN(rows[0])...)
+	for _, x := range rows {
 		attr, err := e.Explain(context.Background(), x)
 		if err != nil {
 			t.Fatal(err)
@@ -320,8 +331,348 @@ func BenchmarkTreeSHAPDepth8(b *testing.B) {
 	for j := range x {
 		x[j] = 0.5
 	}
+	phi := make([]float64, len(x))
+	path := make([]pathElem, pathLen(tr.Depth(), len(x)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shapTree(tr, x)
+		shapTree(tr, x, phi, path)
+	}
+}
+
+// ─── the allocating reference ───────────────────────────────────────────
+//
+// refExplain is Explain without the path arena or the per-explainer
+// values: every recursion level builds a fresh path slice (refExtend,
+// refUnwind), every tree a fresh φ slice, and every call walks each
+// tree's expected value again. Explain must reproduce it bit for bit. It
+// routes NaN right, as Predict does.
+
+func refExplain(ens Ensemble, x []float64) xai.Attribution {
+	trees, weights, base := ens.ComponentTrees()
+	phi := make([]float64, len(x))
+	baseValue := base
+	value := base
+	for i, t := range trees {
+		w := weights[i]
+		tp := refShapTree(t, x)
+		for j := range tp {
+			phi[j] += w * tp[j]
+		}
+		baseValue += w * ExpectedValue(t)
+		value += w * t.Predict(x)
+	}
+	return xai.Attribution{Phi: phi, Base: baseValue, Value: value}
+}
+
+func refShapTree(t *tree.Tree, x []float64) []float64 {
+	phi := make([]float64, len(x))
+	if len(t.Nodes) == 0 {
+		return phi
+	}
+	refRecurse(t, x, phi, 0, nil, 1, 1, -1)
+	return phi
+}
+
+func refRecurse(t *tree.Tree, x []float64, phi []float64, j int, m []pathElem, pz, po float64, pi int) {
+	m = refExtend(m, pz, po, pi)
+	n := t.Nodes[j]
+	if n.IsLeaf() {
+		for i := 1; i < len(m); i++ {
+			w := unwoundSum(m, i)
+			phi[m[i].d] += w * (m[i].o - m[i].z) * n.Value
+		}
+		return
+	}
+	hot, cold := n.Left, n.Right
+	if !(x[n.Feature] <= n.Threshold) {
+		hot, cold = n.Right, n.Left
+	}
+	iz, io := 1.0, 1.0
+	for k := 1; k < len(m); k++ {
+		if m[k].d == n.Feature {
+			iz, io = m[k].z, m[k].o
+			m = refUnwind(m, k)
+			break
+		}
+	}
+	rj := n.Cover
+	refRecurse(t, x, phi, hot, m, iz*t.Nodes[hot].Cover/rj, io, n.Feature)
+	refRecurse(t, x, phi, cold, m, iz*t.Nodes[cold].Cover/rj, 0, n.Feature)
+}
+
+func refExtend(m []pathElem, pz, po float64, pi int) []pathElem {
+	l := len(m)
+	out := make([]pathElem, l+1)
+	copy(out, m)
+	w := 0.0
+	if l == 0 {
+		w = 1
+	}
+	out[l] = pathElem{d: pi, z: pz, o: po, w: w}
+	for i := l - 1; i >= 0; i-- {
+		out[i+1].w += po * out[i].w * float64(i+1) / float64(l+1)
+		out[i].w = pz * out[i].w * float64(l-i) / float64(l+1)
+	}
+	return out
+}
+
+func refUnwind(m []pathElem, i int) []pathElem {
+	l := len(m) - 1
+	out := make([]pathElem, l)
+	copy(out, m[:l])
+	oi, zi := m[i].o, m[i].z
+	n := m[l].w
+	if oi != 0 {
+		for j := l - 1; j >= 0; j-- {
+			tmp := out[j].w
+			out[j].w = n * float64(l+1) / (float64(j+1) * oi)
+			n = tmp - out[j].w*zi*float64(l-j)/float64(l+1)
+		}
+	} else {
+		for j := l - 1; j >= 0; j-- {
+			out[j].w = out[j].w * float64(l+1) / (zi * float64(l-j))
+		}
+	}
+	for j := i; j < l; j++ {
+		out[j].d, out[j].z, out[j].o = m[j+1].d, m[j+1].z, m[j+1].o
+	}
+	return out
+}
+
+// bitDiff describes the first φ, Base or Value whose bits differ between
+// got and want, or returns "" when they all match.
+func bitDiff(got, want xai.Attribution) string {
+	if len(got.Phi) != len(want.Phi) {
+		return fmt.Sprintf("len(phi) = %d, want %d", len(got.Phi), len(want.Phi))
+	}
+	for j := range want.Phi {
+		if math.Float64bits(got.Phi[j]) != math.Float64bits(want.Phi[j]) {
+			return fmt.Sprintf("phi[%d] = %v, want %v", j, got.Phi[j], want.Phi[j])
+		}
+	}
+	if math.Float64bits(got.Base) != math.Float64bits(want.Base) {
+		return fmt.Sprintf("base = %v, want %v", got.Base, want.Base)
+	}
+	if math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+		return fmt.Sprintf("value = %v, want %v", got.Value, want.Value)
+	}
+	return ""
+}
+
+// withNaN returns one copy of x per feature with that feature set to NaN,
+// and one copy that is NaN everywhere.
+func withNaN(x []float64) [][]float64 {
+	var rows [][]float64
+	for j := 0; j <= len(x); j++ {
+		r := append([]float64(nil), x...)
+		for k := range r {
+			if k == j || j == len(x) {
+				r[k] = math.NaN()
+			}
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+var (
+	zooOnce sync.Once
+	zooRF   *forest.RandomForest
+	zooGBT  *forest.GradientBoosting
+	zooRows [][]float64
+	zooErr  error
+)
+
+// zooEnsembles fits the served forest and GBT configurations (core's
+// model zoo: 40 trees of depth 10, 120 rounds of depth 4) on synthetic
+// regression data as wide as the web scenario's 26 features, and returns
+// 100 held-out rows.
+func zooEnsembles(tb testing.TB) (*forest.RandomForest, *forest.GradientBoosting, [][]float64) {
+	tb.Helper()
+	zooOnce.Do(func() {
+		const width = 26
+		rng := rand.New(rand.NewSource(2201))
+		row := func() []float64 {
+			x := make([]float64, width)
+			for j := range x {
+				x[j] = rng.Float64()
+			}
+			return x
+		}
+		names := make([]string, width)
+		for j := range names {
+			names[j] = fmt.Sprintf("f%d", j)
+		}
+		d := dataset.New(dataset.Regression, names...)
+		for i := 0; i < 400; i++ {
+			x := row()
+			y := 4*x[0] + 2*x[1]*x[2] + x[3]*x[3] + rng.NormFloat64()*0.1
+			for j := 4; j < width; j++ {
+				y += 0.1 * float64(j%3) * x[j]
+			}
+			d.Add(x, y)
+		}
+		zooRF = &forest.RandomForest{NumTrees: 40, MaxDepth: 10, MinLeaf: 3, Task: dataset.Regression, Seed: 2}
+		if zooErr = zooRF.Fit(d); zooErr != nil {
+			return
+		}
+		zooGBT = &forest.GradientBoosting{NumRounds: 120, LearningRate: 0.1, MaxDepth: 4, Task: dataset.Regression, Seed: 2}
+		if zooErr = zooGBT.Fit(d); zooErr != nil {
+			return
+		}
+		for i := 0; i < 100; i++ {
+			zooRows = append(zooRows, row())
+		}
+	})
+	if zooErr != nil {
+		tb.Fatal(zooErr)
+	}
+	return zooRF, zooGBT, zooRows
+}
+
+func TestArenaParity(t *testing.T) {
+	ctx := context.Background()
+	rf, gbt, rows := zooEnsembles(t)
+	rows = append(rows[:len(rows):len(rows)], withNaN(rows[0])...)
+	for _, c := range []struct {
+		name string
+		ens  Ensemble
+	}{{"forest", rf}, {"gbt", gbt}} {
+		e := &Explainer{Model: c.ens}
+		for i, x := range rows {
+			got, err := e.Explain(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := bitDiff(got, refExplain(c.ens, x)); msg != "" {
+				t.Fatalf("%s row %d: %s", c.name, i, msg)
+			}
+		}
+	}
+	// TestTreeSHAPMatchesBruteForce's trees: depth-5 paths over 4
+	// features repeat features, so unwind runs.
+	for seed := int64(0); seed < 15; seed++ {
+		tr, _ := randomTree(t, seed, 4, 5, 120)
+		e := &Explainer{Model: Single(tr)}
+		rng := rand.New(rand.NewSource(seed + 1000))
+		var xs [][]float64
+		for trial := 0; trial < 5; trial++ {
+			x := make([]float64, 4)
+			for j := range x {
+				x[j] = rng.Float64() * 1.2
+			}
+			xs = append(xs, x)
+		}
+		for i, x := range append(xs, withNaN(xs[0])...) {
+			got, err := e.Explain(ctx, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := bitDiff(got, refExplain(Single(tr), x)); msg != "" {
+				t.Fatalf("seed %d row %d: %s", seed, i, msg)
+			}
+		}
+	}
+}
+
+// TestConcurrentExplainParity shares one fresh Explainer between
+// goroutines whose first calls race on its per-explainer values.
+func TestConcurrentExplainParity(t *testing.T) {
+	ctx := context.Background()
+	rf, _, rows := zooEnsembles(t)
+	rows = rows[:16]
+	serial := &Explainer{Model: rf}
+	want := make([]xai.Attribution, len(rows))
+	for i, x := range rows {
+		var err error
+		if want[i], err = serial.Explain(ctx, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := &Explainer{Model: rf}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for k := range rows {
+				i := (g + k) % len(rows)
+				got, err := shared.Explain(ctx, rows[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if msg := bitDiff(got, want[i]); msg != "" {
+					t.Errorf("goroutine %d row %d: %s", g, i, msg)
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestExplainAllocs pins the memory contract: once the per-explainer
+// values exist, an explain allocates φ, the per-tree φ buffer, the path
+// arena and the ensemble's weight slice, whatever the tree count.
+func TestExplainAllocs(t *testing.T) {
+	ctx := context.Background()
+	rf, gbt, rows := zooEnsembles(t)
+	for _, c := range []struct {
+		name string
+		ens  Ensemble
+	}{{"forest", rf}, {"gbt", gbt}} {
+		e := &Explainer{Model: c.ens}
+		if _, err := e.Explain(ctx, rows[0]); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := e.Explain(ctx, rows[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("%s: %v allocs per explain, want <= 4", c.name, allocs)
+		}
+	}
+}
+
+// TestDeepChainMemory explains a 5,000-deep chain over 2 features, the
+// shape an imported artifact can take. The arena grows with depth ×
+// width (480 KB here); a depth-only bound would need ~400 MB.
+func TestDeepChainMemory(t *testing.T) {
+	const depth = 5000
+	// Node 2k is the chain's split at depth k and node 2k+1 its leaf
+	// child; node 2·depth is the last leaf.
+	leaf := func(v float64) tree.Node {
+		return tree.Node{Feature: tree.Leaf, Left: tree.Leaf, Right: tree.Leaf, Value: v, Cover: 1}
+	}
+	nodes := make([]tree.Node, 2*depth+1)
+	for k := 0; k < depth; k++ {
+		nodes[2*k] = tree.Node{Feature: k % 2, Threshold: float64(k%7) / 7, Left: 2*k + 1, Right: 2*k + 2, Cover: float64(depth - k + 1)}
+		nodes[2*k+1] = leaf(float64(k % 5))
+	}
+	nodes[2*depth] = leaf(2.5)
+	tr := &tree.Tree{Nodes: nodes}
+	x := []float64{0.3, 0.6}
+	want := refExplain(Single(tr), x)
+
+	e := &Explainer{Model: Single(tr)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := e.Explain(context.Background(), x)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("one explain allocated %d bytes, want < 1 MiB", grew)
+	}
+	if msg := bitDiff(got, want); msg != "" {
+		t.Fatal(msg)
 	}
 }

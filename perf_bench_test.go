@@ -152,8 +152,24 @@ func dispatchPipeline(b *testing.B) *core.Pipeline {
 // registry in the loop (the PR 2 serving hot path).
 func BenchmarkExplainDispatchDirect(b *testing.B) {
 	p := dispatchPipeline(b)
-	e := &treeshap.Explainer{Model: p.Model.(*forest.RandomForest), Names: p.Train.Names}
-	x := p.Test.X[0]
+	benchTreeSHAP(b, p.Model.(*forest.RandomForest), p.Train.Names, p.Test.X[0])
+}
+
+// BenchmarkExplainDispatchDirectGBT is the same prebuilt-explainer loop
+// on the 120-round GBT.
+func BenchmarkExplainDispatchDirectGBT(b *testing.B) {
+	p := dispatchPipeline(b)
+	benchTreeSHAP(b, perfGBT, p.Train.Names, p.Test.X[0])
+}
+
+// benchTreeSHAP times TreeSHAP explains of x on one explainer whose
+// per-explainer values are computed before the timer starts.
+func benchTreeSHAP(b *testing.B, m treeshap.Ensemble, names []string, x []float64) {
+	e := &treeshap.Explainer{Model: m, Names: names}
+	if _, err := e.Explain(context.Background(), x); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Explain(context.Background(), x); err != nil {
@@ -168,6 +184,7 @@ func BenchmarkExplainDispatchDirect(b *testing.B) {
 func BenchmarkExplainDispatchRegistry(b *testing.B) {
 	p := dispatchPipeline(b)
 	x := p.Test.X[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, _, err := p.ExplainerFor("treeshap", xai.Options{})

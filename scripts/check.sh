@@ -63,7 +63,7 @@ step "test (shuffled order)"
 go test -shuffle=on ./...
 
 step "batch parity at 1 and 4 cores (inline and sched-dispatched chunks)"
-go test -cpu 1,4 -run 'Parity|Scaled' ./internal/ml/... ./internal/core/ ./internal/xai/shap/ ./internal/xai/lime/
+go test -cpu 1,4 -run 'Parity|Scaled' ./internal/ml/... ./internal/core/ ./internal/xai/shap/ ./internal/xai/lime/ ./internal/xai/treeshap/
 
 # The sched pool is sized once per process, so -cpu 1,4 never dispatches
 # at 4 once the 1-CPU pass has sized it; each GOMAXPROCS needs its own run.
