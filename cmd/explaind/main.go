@@ -76,7 +76,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -181,11 +180,13 @@ func main() {
 
 	// Durable artifact plane: warm-start previously trained pipelines from
 	// the store, then persist everything trained from here on.
+	var storeBlob registry.BlobBackend
 	if *storeDir != "" {
 		st, err := registry.OpenFSStore(*storeDir)
 		if err != nil {
 			log.Fatal(err)
 		}
+		storeBlob = st.Backend()
 		// Retry/backoff + circuit breaker in front of the filesystem: a
 		// transient I/O failure retries with jitter instead of dropping a
 		// manifest write, and a dead disk trips the breaker (visible in
@@ -207,22 +208,19 @@ func main() {
 	// Explanation result cache: content-addressed (entries keyed by the
 	// artifact digest, never the model name) with single-flight
 	// coalescing of concurrent identical requests. -cache-tier2 spills
-	// hot entries under the artifact store so a restarted process — or a
-	// freshly joined cluster node sharing the store — serves
-	// explanations the previous process or the rest of the fleet already
-	// computed.
+	// hot entries into the artifact store's backend (DIR/xcache/<digest>/)
+	// so a restarted process — or a freshly joined cluster node sharing
+	// the store — serves explanations the previous process or the rest of
+	// the fleet already computed. Tier 2 needs no retry layer: its
+	// failures are counted misses.
 	if *cacheMB > 0 {
 		ccfg := xcache.Config{MaxBytes: int64(*cacheMB) << 20, TTL: *cacheTTL}
 		if *cacheTier2 {
-			if *storeDir == "" {
+			if storeBlob == nil {
 				fmt.Fprintln(os.Stderr, "explaind: -cache-tier2 requires -store")
 				os.Exit(2)
 			}
-			t2, err := xcache.NewDirStore(filepath.Join(*storeDir, "xcache"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			ccfg.Tier2 = t2
+			ccfg.Tier2 = storeBlob
 		}
 		reg.UseExplainCache(xcache.New(ccfg))
 		log.Printf("explanation cache: %d MiB, ttl %v, tier2 %v", *cacheMB, *cacheTTL, *cacheTier2)

@@ -220,9 +220,11 @@
 // persistManifest merges concurrent writers so fleets never clobber
 // each other). The store itself is object-store-shaped:
 // registry.BlobBackend is a put/get/delete/list bucket surface an S3
-// adapter can satisfy, registry.NewBlobStore lifts any bucket into a
-// full artifact store, and a shared conformance suite pins FSStore,
-// MemStore and their retry-wrapped variants to identical semantics.
+// adapter can satisfy, and registry.NewBlobStore lifts any bucket into
+// the one artifact store implementation. The filesystem (FSBlob, behind
+// OpenFSStore) and memory (MemBlob) are two such buckets; conformance
+// suites pin both backends, and the store over each, plain and
+// retry-wrapped, to identical semantics.
 // Requests carry X-Request-Id end to end (minted when absent, echoed in
 // error bodies) and X-Served-By names the answering node; /healthz
 // reports ring ownership, peer liveness and sync lag. The 3-node
@@ -251,13 +253,14 @@
 // X-Cache: hit|miss|coalesced|bypass (no_cache opts out per request),
 // splits batches so only misses reach the worker pool, and reports
 // per-digest counters on /readyz and GET /v1/cachez. An optional tier 2
-// persists cacheable entries through the same registry store the
-// cluster shards artifacts over (explaind -cache-tier2), so a
-// warm-started or newly joined node serves explanations the fleet
-// already computed; store round trips happen strictly outside shard
-// locks, enforced by lockedcall's internal/xai scope. A cache hit is
-// ~16,800x cheaper than the cold default-option KernelSHAP it replaces
-// (BENCH_PR9.json, gated by cmd/benchdiff), and the sampling hot paths
-// it fronts recycle their big allocations — coalition masks, LIME
-// neighborhoods, tree-path accumulators — through sync.Pools.
+// persists cacheable entries through the same blob backend the cluster
+// shards artifacts over (explaind -cache-tier2; on disk at
+// DIR/xcache/<digest>/<leaf>), so a warm-started or newly joined node
+// serves explanations the fleet already computed; store round trips
+// happen strictly outside shard locks, enforced by lockedcall's
+// internal/xai scope. A cache hit is ~16,800x cheaper than the cold
+// default-option KernelSHAP it replaces (BENCH_PR9.json, gated by
+// cmd/benchdiff). The sampling hot paths it fronts recycle their big
+// allocations — coalition masks and LIME neighborhoods — through
+// sync.Pools, and TreeSHAP allocates one path arena per explain.
 package nfvxai

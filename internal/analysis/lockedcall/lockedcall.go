@@ -245,8 +245,9 @@ func isStoreMethod(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	if named.Obj().Name() == "Store" {
 		return true
 	}
-	// Concrete store types: named *Store implementations (FSStore, …)
-	// whose package also declares a Store interface they satisfy.
+	// Concrete store types: named *Store implementations (BlobStore,
+	// RetryStore, …) whose package also declares a Store interface they
+	// satisfy.
 	pkg := named.Obj().Pkg()
 	if pkg == nil {
 		return false

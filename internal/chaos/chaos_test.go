@@ -44,7 +44,7 @@ func trainPipeline(t *testing.T) *core.Pipeline {
 }
 
 // stack is one serving stack over a fault-injected store:
-// FSStore ← ChaosStore(errRate) ← RetryStore ← Registry ← Server.
+// OpenFSStore ← ChaosStore(errRate) ← RetryStore ← Registry ← Server.
 type stack struct {
 	reg       *registry.Registry
 	chaos     *registry.ChaosStore

@@ -101,8 +101,8 @@ func (b *MemBlob) Len() int {
 	return len(b.data)
 }
 
-// Blob key layout: mirrors FSStore's directory layout so the two store
-// families stay interchangeable and debuggable with the same mental map.
+// Blob key layout. Over an FSBlob each key is a path under the store
+// directory, so the layout is also the on-disk one.
 const (
 	blobArtifactPrefix   = "artifacts/"
 	blobManifestKey      = "manifest.json"
@@ -111,8 +111,9 @@ const (
 
 // BlobStore adapts any BlobBackend into a registry Store: artifacts at
 // artifacts/<digest>, the manifest at manifest.json, experiments at
-// experiments/<id>.json. Digest verification on read and the sentinel
-// taxonomy match FSStore exactly (the conformance suite enforces it).
+// experiments/<id>.json. It verifies digests on read and maps backend
+// not-found onto the registry's sentinels, the same over every backend
+// (the conformance suite enforces it).
 type BlobStore struct {
 	b BlobBackend
 }
@@ -121,8 +122,8 @@ type BlobStore struct {
 func NewBlobStore(b BlobBackend) *BlobStore { return &BlobStore{b: b} }
 
 // NewMemStore returns a Store backed by a fresh in-memory bucket — the
-// shared store of an in-process cluster, and the object-store-shaped
-// counterpart to OpenFSStore.
+// shared store of an in-process cluster, and the in-memory counterpart
+// to OpenFSStore.
 func NewMemStore() *BlobStore { return NewBlobStore(NewMemBlob()) }
 
 // Backend exposes the underlying blob backend (so several in-process
@@ -138,8 +139,9 @@ func (s *BlobStore) PutArtifact(data []byte) (string, error) {
 	return digest, nil
 }
 
-// GetArtifact implements Store, verifying the content digest like
-// FSStore does.
+// GetArtifact implements Store, verifying the content digest so silent
+// corruption in the backend surfaces as ErrCorruptArtifact instead of a
+// decode failure deeper in.
 func (s *BlobStore) GetArtifact(digest string) ([]byte, error) {
 	if !validDigest(digest) {
 		return nil, fmt.Errorf("%w: invalid digest %q", ErrArtifactNotFound, digest)
@@ -166,6 +168,20 @@ func (s *BlobStore) DeleteArtifact(digest string) error {
 		return fmt.Errorf("registry: delete artifact: %w", err)
 	}
 	return nil
+}
+
+// validDigest accepts hex SHA-256 strings only (also keeps digests safe
+// as file names).
+func validDigest(d string) bool {
+	if len(d) != 64 {
+		return false
+	}
+	for _, c := range d {
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // PutManifest implements Store. Atomicity is delegated to the backend's
@@ -195,6 +211,20 @@ func (s *BlobStore) GetManifest() (Manifest, bool, error) {
 		return Manifest{}, false, fmt.Errorf("%w: manifest: %w", ErrCorruptArtifact, err)
 	}
 	return m, true, nil
+}
+
+// validExperimentID keeps experiment ids usable as file names.
+func validExperimentID(id string) bool {
+	if id == "" || len(id) > 128 {
+		return false
+	}
+	for _, c := range id {
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return !strings.HasPrefix(id, ".")
 }
 
 // PutExperiment implements Store.
@@ -236,5 +266,7 @@ func (s *BlobStore) ListExperiments() ([]string, error) {
 			ids = append(ids, strings.TrimSuffix(name, ".json"))
 		}
 	}
+	// Key order is not id order: "a-b.json" sorts before "a.json".
+	sort.Strings(ids)
 	return ids, nil
 }

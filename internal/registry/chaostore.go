@@ -1,10 +1,11 @@
 // Fault injection for the artifact plane: ChaosStore decorates any Store
 // with seeded, deterministic failures — transient errors, added latency,
 // and torn (silently lost) writes. It exists for the chaos test suite and
-// CI smoke runs: wrap an FSStore in a ChaosStore, wrap that in a
-// RetryStore, and assert the stack's invariants under 20% error rates.
-// Torn writes model the observable outcome of a crash mid-write under
-// FSStore's temp-file+rename protocol: the file simply never appears.
+// CI smoke runs: wrap the filesystem store (OpenFSStore) in a ChaosStore,
+// wrap that in a RetryStore, and assert the stack's invariants under 20%
+// error rates. Torn writes model the observable outcome of a crash
+// mid-write under FSBlob's temp-file+rename protocol: the file simply
+// never appears.
 package registry
 
 import (

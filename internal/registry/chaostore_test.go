@@ -74,7 +74,7 @@ func TestChaosStoreTornWrites(t *testing.T) {
 }
 
 func TestRetryStoreHealsChaos(t *testing.T) {
-	// The full resilience stack: FSStore ← chaos (40% errors) ← retry.
+	// The full resilience stack: filesystem store ← chaos (40% errors) ← retry.
 	// With 4 attempts per op the per-op failure probability is 0.4^4 ≈
 	// 2.6%, so the overwhelming majority of operations must succeed; the
 	// rare exhausted operation must still surface a typed transient error.

@@ -5,14 +5,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// The Store-conformance suite: every backend — FSStore, the
-// object-store-shaped BlobStore/MemStore, and their RetryStore-wrapped
-// variants — must present the identical contract to the registry:
+// The Store-conformance suite: every store — BlobStore over the
+// filesystem (OpenFSStore) and over memory (MemStore), and their
+// RetryStore-wrapped variants — must present the identical contract to
+// the registry:
 // content-addressed idempotent artifacts, digest verification on read,
 // the sentinel-error taxonomy (ErrArtifactNotFound, ErrCorruptArtifact),
 // no-op deletes of missing artifacts, an atomic never-torn manifest, and
@@ -20,63 +22,40 @@ import (
 // and warm-start code paths are backend-agnostic only because the
 // contract is.
 
-// storeFixture opens a fresh store of one backend family. corrupt, when
-// non-nil, flips bytes inside the stored artifact behind the store's
-// back so digest verification can be exercised; nil skips that case
-// (a backend with no reachable internals).
+// storeFixture opens a fresh store of one backend family.
 type storeFixture struct {
-	name    string
-	open    func(t *testing.T) Store
-	corrupt func(t *testing.T, st Store, digest string)
+	name string
+	open func(t *testing.T) Store
 }
 
-// corruptFS flips a byte of the artifact file on disk.
-func corruptFS(dirOf func(Store) string) func(*testing.T, Store, string) {
-	return func(t *testing.T, st Store, digest string) {
-		t.Helper()
-		path := filepath.Join(dirOf(st), "artifacts", digest)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+// corruptArtifact flips a byte of a stored artifact behind the store's
+// back, through the blob backend under it (over the filesystem backend,
+// in the file on disk), so digest verification can be exercised.
+func corruptArtifact(t *testing.T, st Store, digest string) {
+	t.Helper()
+	if rs, ok := st.(*RetryStore); ok {
+		st = rs.Inner()
 	}
-}
-
-// corruptBlob flips a byte through the blob backend.
-func corruptBlob(backendOf func(Store) BlobBackend) func(*testing.T, Store, string) {
-	return func(t *testing.T, st Store, digest string) {
-		t.Helper()
-		b := backendOf(st)
-		data, err := b.Get(blobArtifactPrefix + digest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] ^= 0xff
-		if err := b.Put(blobArtifactPrefix+digest, data); err != nil {
-			t.Fatal(err)
-		}
+	b := st.(*BlobStore).Backend()
+	data, err := b.Get(blobArtifactPrefix + digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xff
+	if err := b.Put(blobArtifactPrefix+digest, data); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // retryWrap wraps a fixture's store in a RetryStore with no real
-// sleeping, reaching through Inner() for corruption.
+// sleeping.
 func retryWrap(f storeFixture) storeFixture {
-	wrapped := storeFixture{
+	return storeFixture{
 		name: "Retry" + f.name,
 		open: func(t *testing.T) Store {
 			return NewRetryStore(f.open(t), RetryConfig{Seed: 1, Sleep: func(time.Duration) {}})
 		},
 	}
-	if f.corrupt != nil {
-		wrapped.corrupt = func(t *testing.T, st Store, digest string) {
-			f.corrupt(t, st.(*RetryStore).Inner(), digest)
-		}
-	}
-	return wrapped
 }
 
 func storeFixtures() []storeFixture {
@@ -89,14 +68,10 @@ func storeFixtures() []storeFixture {
 			}
 			return st
 		},
-		corrupt: corruptFS(func(st Store) string { return st.(*FSStore).Dir() }),
 	}
 	mem := storeFixture{
 		name: "MemStore",
 		open: func(t *testing.T) Store { return NewMemStore() },
-		corrupt: corruptBlob(func(st Store) BlobBackend {
-			return st.(*BlobStore).Backend()
-		}),
 	}
 	return []storeFixture{fs, mem, retryWrap(fs), retryWrap(mem)}
 }
@@ -177,17 +152,23 @@ func conformArtifactDelete(t *testing.T, f storeFixture) {
 }
 
 func conformDigestVerification(t *testing.T, f storeFixture) {
-	if f.corrupt == nil {
-		t.Skip("backend exposes no corruption hook")
-	}
 	st := f.open(t)
-	d, err := st.PutArtifact([]byte("soon to be corrupted"))
+	data := []byte("soon to be corrupted")
+	d, err := st.PutArtifact(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.corrupt(t, st, d)
+	corruptArtifact(t, st, d)
 	if _, err := st.GetArtifact(d); !errors.Is(err, ErrCorruptArtifact) {
 		t.Fatalf("corrupted artifact: %v, want ErrCorruptArtifact", err)
+	}
+	// Re-putting the same bytes repairs the artifact: a put must not
+	// trust that an object already stored under the digest is intact.
+	if _, err := st.PutArtifact(data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.GetArtifact(d); err != nil || string(got) != string(data) {
+		t.Fatalf("re-put over a corrupt artifact: get = %q, %v", got, err)
 	}
 }
 
@@ -281,8 +262,104 @@ func conformExperiments(t *testing.T, f storeFixture) {
 	if err != nil || string(got) != `{"a":1}` {
 		t.Fatalf("get experiment = %q, %v", got, err)
 	}
+	// "a-b.json" sorts before "a.json" as a key, but "a" before "a-b"
+	// as an id.
+	for _, id := range []string{"a-b", "a"} {
+		if err := st.PutExperiment(id, []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ids, err = st.ListExperiments()
-	if err != nil || len(ids) != 2 || ids[0] != "job-1" || ids[1] != "job-2" {
-		t.Fatalf("list = %v, %v (want sorted ids)", ids, err)
+	if want := []string{"a", "a-b", "job-1", "job-2"}; err != nil || !slices.Equal(ids, want) {
+		t.Fatalf("list = %v, %v (want sorted ids %v)", ids, err, want)
+	}
+}
+
+// TestBlobBackendConformance holds every BlobBackend to MemBlob's
+// semantics: the contract BlobStore and the explanation cache's tier 2
+// are written against. dir is the filesystem backend's root ("" for
+// memory), where an interrupted Put's temp file can be planted.
+func TestBlobBackendConformance(t *testing.T) {
+	backends := []struct {
+		name string
+		open func(t *testing.T) (b BlobBackend, dir string)
+	}{
+		{"FSBlob", func(t *testing.T) (BlobBackend, string) {
+			dir := t.TempDir()
+			st, err := OpenFSStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.Backend(), dir
+		}},
+		{"MemBlob", func(t *testing.T) (BlobBackend, string) { return NewMemBlob(), "" }},
+	}
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			b, dir := be.open(t)
+			get := func(key, want string) {
+				t.Helper()
+				if got, err := b.Get(key); err != nil || string(got) != want {
+					t.Fatalf("get %s = %q, %v; want %q", key, got, err, want)
+				}
+			}
+			put := func(key, data string) {
+				t.Helper()
+				if err := b.Put(key, []byte(data)); err != nil {
+					t.Fatalf("put %s: %v", key, err)
+				}
+			}
+
+			put("manifest.json", "v1")
+			get("manifest.json", "v1")
+			put("manifest.json", "v2")
+			get("manifest.json", "v2")
+
+			if _, err := b.Get("experiments/missing.json"); !errors.Is(err, ErrBlobNotFound) {
+				t.Fatalf("missing key: %v, want ErrBlobNotFound", err)
+			}
+			if err := b.Delete("experiments/missing.json"); err != nil {
+				t.Fatalf("delete of a missing key must be a no-op, got %v", err)
+			}
+
+			digest := Digest([]byte("model"))
+			leaf := "xcache/" + digest + "/0123456789abcdef0123456789abcdef01234567"
+			put(leaf, "attribution")
+			get(leaf, "attribution")
+
+			// "p/a/x" is walked before "p/a-b" on disk, yet sorts after it.
+			for _, k := range []string{"p/a/x", "p/a-b", "experiments/a.json", "experiments/a-b.json"} {
+				put(k, k)
+			}
+			if dir != "" {
+				tmp, err := os.CreateTemp(filepath.Join(dir, "experiments"), ".tmp-*")
+				if err != nil {
+					t.Fatal(err)
+				}
+				tmp.Close()
+			}
+			for prefix, want := range map[string][]string{
+				"p/":                     {"p/a-b", "p/a/x"},
+				"experiments/":           {"experiments/a-b.json", "experiments/a.json"},
+				"experiments/a-":         {"experiments/a-b.json"},
+				"xcache/" + digest + "/": {leaf},
+				"absent/":                nil,
+			} {
+				if got, err := b.List(prefix); err != nil || !slices.Equal(got, want) {
+					t.Errorf("list %q = %v, %v; want %v", prefix, got, err, want)
+				}
+			}
+			all, err := b.List("")
+			if err != nil || len(all) != 6 || !slices.IsSorted(all) {
+				t.Errorf("list of every key = %v, %v; want 6 sorted keys", all, err)
+			}
+
+			if err := b.Delete(leaf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Get(leaf); !errors.Is(err, ErrBlobNotFound) {
+				t.Fatalf("deleted key: %v, want ErrBlobNotFound", err)
+			}
+		})
 	}
 }

@@ -1,10 +1,11 @@
 // Store fault tolerance: RetryStore decorates any Store with jittered
 // exponential-backoff retries for transient failures and a circuit
 // breaker that fails fast while the backend is down, half-opening with a
-// single probe after a cooldown. Wrapped around FSStore it lets manifest
-// persistence, artifact GC and warm starts ride out transient I/O
-// failures (full disk, flaky NFS, chaos injection) — persistence errors
-// degrade health reporting, they never panic or wedge the registry.
+// single probe after a cooldown. Wrapped around the filesystem store
+// (OpenFSStore) it lets manifest persistence, artifact GC and warm starts
+// ride out transient I/O failures (full disk, flaky NFS, chaos
+// injection) — persistence errors degrade health reporting, they never
+// panic or wedge the registry.
 package registry
 
 import (

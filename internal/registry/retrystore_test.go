@@ -212,7 +212,7 @@ func TestRegistryStoreHealthDiscovery(t *testing.T) {
 	}
 	r.UseStore(fs)
 	if _, ok := r.StoreHealth(); ok {
-		t.Fatal("bare FSStore is not instrumented; want ok=false")
+		t.Fatal("bare filesystem store is not instrumented; want ok=false")
 	}
 	r2 := New()
 	r2.UseStore(NewRetryStore(fs, fastRetry(nil)))

@@ -165,11 +165,12 @@ func TestWarmStartSwapPersistsRetrainedPipeline(t *testing.T) {
 	}
 }
 
-// corruptionFixture builds a store holding one good model and returns
-// (store, manifest, good registry entry name).
-func corruptionFixture(t *testing.T) (*FSStore, string) {
+// corruptionFixture builds a filesystem store holding one model named
+// "good" and returns the store and its directory.
+func corruptionFixture(t *testing.T) (*BlobStore, string) {
 	t.Helper()
-	st, err := OpenFSStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenFSStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +179,18 @@ func corruptionFixture(t *testing.T) (*FSStore, string) {
 	if _, err := r.AddReady(testSpec("good"), storeTestPipeline(t, core.ModelTree, 1), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	return st, "good"
+	return st, dir
 }
 
 func TestCorruptionTruncatedArtifact(t *testing.T) {
-	st, good := corruptionFixture(t)
+	st, dir := corruptionFixture(t)
 	m, ok, err := st.GetManifest()
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
 	// Truncate the artifact on disk: content no longer matches its digest,
 	// the signature of a torn write.
-	path := filepath.Join(st.Dir(), "artifacts", m.Models[0].Digest)
+	path := filepath.Join(dir, "artifacts", m.Models[0].Digest)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +207,7 @@ func TestCorruptionTruncatedArtifact(t *testing.T) {
 	if len(rep.Errors) != 1 || !errors.Is(rep.Errors[0].Err, ErrCorruptArtifact) {
 		t.Fatalf("errors = %v, want one ErrCorruptArtifact", rep.Errors)
 	}
-	if _, err := r.Get(good); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Get("good"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("corrupt model was registered anyway: %v", err)
 	}
 }
@@ -268,12 +269,12 @@ func TestCorruptionUnknownModelKind(t *testing.T) {
 // serves a model keeps serving it when a later warm-start-style restore
 // of the same name fails (the corrupt artifact is skipped, not swapped).
 func TestCorruptionLeavesPreviousPipelineServing(t *testing.T) {
-	st, _ := corruptionFixture(t)
+	st, dir := corruptionFixture(t)
 	m, _, err := st.GetManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(st.Dir(), "artifacts", m.Models[0].Digest)
+	path := filepath.Join(dir, "artifacts", m.Models[0].Digest)
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,8 @@ func TestCorruptionLeavesPreviousPipelineServing(t *testing.T) {
 // artifact could not be read at one boot must survive later manifest
 // rewrites (orphan carry-forward) and restore normally once readable.
 func TestTransientRestoreFailureKeepsManifestRecord(t *testing.T) {
-	st, err := OpenFSStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenFSStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestTransientRestoreFailureKeepsManifestRecord(t *testing.T) {
 			digB = rec.Digest
 		}
 	}
-	path := filepath.Join(st.Dir(), "artifacts", digB)
+	path := filepath.Join(dir, "artifacts", digB)
 	if err := os.Rename(path, path+".aside"); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +376,8 @@ func TestTransientRestoreFailureKeepsManifestRecord(t *testing.T) {
 // without bound — the superseded artifact is deleted once the manifest
 // stops referencing it.
 func TestSwapGCsSupersededArtifacts(t *testing.T) {
-	st, err := OpenFSStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenFSStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +392,7 @@ func TestSwapGCsSupersededArtifacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := os.ReadDir(filepath.Join(st.Dir(), "artifacts"))
+	entries, err := os.ReadDir(filepath.Join(dir, "artifacts"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package registry
 
 import (
+	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -127,5 +131,63 @@ func TestUseExplainCacheAttachesExisting(t *testing.T) {
 	}
 	if p2.ResultCache != c {
 		t.Fatal("later pipeline not attached")
+	}
+}
+
+// TestTier2AcrossRestartOnDisk: with the filesystem store's backend as
+// tier 2, a restarted process serves the explanation the previous one
+// computed, from DIR/xcache/<digest>/<leaf>.
+func TestTier2AcrossRestartOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*Registry, *xcache.Cache) {
+		st, err := OpenFSStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := xcache.New(xcache.Config{Tier2: st.Backend()})
+		r := New()
+		r.OnStoreError = func(err error) { t.Errorf("store error: %v", err) }
+		r.UseStore(st)
+		r.UseExplainCache(c)
+		return r, c
+	}
+
+	rA, cA := boot()
+	p := storeTestPipeline(t, core.ModelTree, 1)
+	if _, err := rA.AddReady(testSpec("m"), p, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	x := p.Test.X[0]
+	want, _, outcome, err := p.ExplainCached(context.Background(), "", xai.Options{}, x, false)
+	if err != nil || outcome != xcache.OutcomeMiss {
+		t.Fatalf("first explain: outcome %v err %v", outcome, err)
+	}
+	if s := cA.Stats(); s.Tier2Puts != 1 {
+		t.Fatalf("tier-2 puts = %d, want 1", s.Tier2Puts)
+	}
+
+	rB, cB := boot()
+	if rep, err := rB.WarmStart(time.Now()); err != nil || len(rep.Errors) != 0 {
+		t.Fatalf("warm start: %v %v", err, rep.Errors)
+	}
+	pB, err := rB.Lookup("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, outcome, err := pB.ExplainCached(context.Background(), "", xai.Options{}, x, false)
+	if err != nil || outcome != xcache.OutcomeHit {
+		t.Fatalf("explain after restart: outcome %v err %v", outcome, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tier-2 round trip: got %+v want %+v", got, want)
+	}
+	if s := cB.Stats(); s.Tier2Hits != 1 || s.Misses != 0 {
+		t.Fatalf("restarted cache stats = %+v, want one tier-2 hit and no miss", s)
+	}
+
+	digestDir := filepath.Join(dir, "xcache", pB.ContentDigest())
+	entries, err := os.ReadDir(digestDir)
+	if err != nil || len(entries) != 1 || !entries[0].Type().IsRegular() || len(entries[0].Name()) != 40 {
+		t.Fatalf("%s holds %v (%v), want one 40-hex blob", digestDir, entries, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -112,14 +113,14 @@ func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, name, acti
 	var body []byte
 	if r.Body != nil {
 		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, MaxArtifactBytes+1))
+		body, err = io.ReadAll(r.Body)
 		r.Body.Close()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read request body: %v", err)
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxArtifactBytes)
 			return true
 		}
-		if len(body) > MaxArtifactBytes {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxArtifactBytes)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "read request body: %v", err)
 			return true
 		}
 	}

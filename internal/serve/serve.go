@@ -240,8 +240,14 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // minted here unless the client (or the proxying peer node) already
 // supplied one — echoed on the response and kept on r.Header so a proxy
 // hop forwards the same id. X-Served-By names this node so multi-node
-// traces show which registry answered.
+// traces show which registry answered. No handler reads more than
+// MaxArtifactBytes of a request body: past that, reads fail with an
+// *http.MaxBytesError, which JSON handlers answer 400 and the import
+// and proxy paths 413.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Body != nil {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxArtifactBytes)
+	}
 	rid := r.Header.Get(HeaderRequestID)
 	if rid == "" {
 		rid = newRequestID()
@@ -456,8 +462,9 @@ func (s *Server) handleCreateModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, modelInfo(e))
 }
 
-// MaxArtifactBytes bounds an imported model artifact (64 MiB — an order
-// of magnitude above the largest zoo pipeline trained at MaxHours).
+// MaxArtifactBytes bounds every request body, an imported model artifact
+// being the largest (64 MiB — an order of magnitude above the largest
+// zoo pipeline trained at MaxHours).
 const MaxArtifactBytes = 64 << 20
 
 // handleExportModel serves the named ready model as a self-contained
@@ -488,13 +495,13 @@ func (s *Server) handleExportModel(w http.ResponseWriter, _ *http.Request, name 
 // embedded in the artifact's spec. Corrupt artifacts are the client's
 // 400; name collisions are 409.
 func (s *Server) handleImportModel(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, MaxArtifactBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading artifact: %v", err)
+	data, err := io.ReadAll(r.Body)
+	if errors.As(err, new(*http.MaxBytesError)) {
+		writeError(w, http.StatusRequestEntityTooLarge, "artifact exceeds %d bytes", MaxArtifactBytes)
 		return
 	}
-	if len(data) > MaxArtifactBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "artifact exceeds %d bytes", MaxArtifactBytes)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading artifact: %v", err)
 		return
 	}
 	name, err := s.reg.ImportArtifact(data, r.URL.Query().Get("name"), time.Now())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -269,6 +270,65 @@ func TestExplainBatch(t *testing.T) {
 		wantStatus(t, resp, http.StatusBadRequest)
 		resp.Body.Close()
 		_ = name
+	}
+}
+
+// countingBody is a request body of pad filler bytes followed by tail;
+// read counts how many bytes the server pulled from it.
+type countingBody struct {
+	pad  int64
+	fill byte
+	tail []byte
+	read int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	var n int
+	if b.pad > 0 {
+		n = int(min(int64(len(p)), b.pad))
+		for i := range p[:n] {
+			p[i] = b.fill
+		}
+		b.pad -= int64(n)
+	} else {
+		n = copy(p, b.tail)
+		b.tail = b.tail[n:]
+	}
+	b.read += int64(n)
+	if n == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// TestRequestBodyBound: no handler reads more than MaxArtifactBytes of
+// a body. A JSON handler refuses the rest as a bad request, the import
+// endpoint as too large.
+func TestRequestBodyBound(t *testing.T) {
+	p := pipeline(t)
+	s := New(p)
+	valid, err := json.Marshal(map[string]any{"features": p.Test.X[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		body *countingBody
+		want int
+	}{
+		// Valid JSON: 65 MiB of whitespace, then the instance.
+		{"/v1/models/default/explain", &countingBody{pad: 65 << 20, fill: ' ', tail: valid}, http.StatusBadRequest},
+		{"/v1/models/import", &countingBody{pad: MaxArtifactBytes + 1}, http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d want %d (body %s)", tc.path, rec.Code, tc.want, rec.Body.Bytes())
+		}
+		if tc.body.read > MaxArtifactBytes+1 {
+			t.Errorf("%s: server read %d body bytes, limit %d", tc.path, tc.body.read, MaxArtifactBytes)
+		}
+		debug.FreeOSMemory() // each case buffers ~64 MiB; keep the two from stacking
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"nfvxai/internal/wire"
 	"nfvxai/internal/xai"
@@ -115,49 +113,4 @@ func decodeAttribution(data []byte) (xai.Attribution, error) {
 		return xai.Attribution{}, fmt.Errorf("xcache: tier-2 decode: %w", err)
 	}
 	return attr, nil
-}
-
-// DirStore is a filesystem Store for single-node deployments whose
-// registry store is directory-backed (no BlobBackend to share): entries
-// live as flat files under dir, named by the hex leaf of the tier-2 key,
-// so a restarted explaind warm-serves its own previous computations.
-type DirStore struct{ dir string }
-
-// NewDirStore creates dir if needed and returns a Store over it.
-func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("xcache: tier-2 dir: %w", err)
-	}
-	return &DirStore{dir: dir}, nil
-}
-
-// path flattens the key: tier-2 keys are "xcache/<digest>/<hexleaf>",
-// and a single directory of "<digest>-<hexleaf>" files keeps cleanup a
-// plain glob away.
-func (s *DirStore) path(key string) string {
-	return filepath.Join(s.dir, filepath.Base(filepath.Dir(key))+"-"+filepath.Base(key))
-}
-
-// Put writes atomically (temp + rename) so a crashed writer never leaves
-// a torn blob for the decoder to reject.
-func (s *DirStore) Put(key string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), s.path(key))
-}
-
-// Get reads one entry; absent keys return the underlying not-found error.
-func (s *DirStore) Get(key string) ([]byte, error) {
-	return os.ReadFile(s.path(key))
 }

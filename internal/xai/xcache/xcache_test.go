@@ -337,29 +337,6 @@ func TestTier2CorruptBlobIsMiss(t *testing.T) {
 	}
 }
 
-func TestDirStoreRoundTrip(t *testing.T) {
-	ds, err := NewDirStore(t.TempDir() + "/xc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey("deadbeef", 1)
-	want := encodeAttribution(testAttr(6))
-	if err := ds.Put(tier2Key(k), want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ds.Get(tier2Key(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attr, err := decodeAttribution(got)
-	if err != nil || attr.Phi[0] != 6 {
-		t.Fatalf("decode: %+v %v", attr, err)
-	}
-	if _, err := ds.Get(tier2Key(testKey("deadbeef", 2))); err == nil {
-		t.Fatal("absent key must error")
-	}
-}
-
 func TestEncodeDecodeVersionGuard(t *testing.T) {
 	data := encodeAttribution(testAttr(1))
 	if _, err := decodeAttribution(data); err != nil {

@@ -40,13 +40,13 @@ func persistBenchHours() float64 {
 
 var (
 	persistStoreOnce sync.Once
-	persistStore     *registry.FSStore
+	persistStore     *registry.BlobStore
 	persistStoreDir  string
 )
 
 // persistSeedStore trains the spec set once and persists it, the state a
 // warm start restores from.
-func persistSeedStore(b *testing.B) *registry.FSStore {
+func persistSeedStore(b *testing.B) *registry.BlobStore {
 	b.Helper()
 	persistStoreOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "nfvxai-bench-store-")
