@@ -191,7 +191,7 @@ func main() {
 		// transient I/O failure retries with jitter instead of dropping a
 		// manifest write, and a dead disk trips the breaker (visible in
 		// /readyz) rather than hanging every persist.
-		reg.UseStore(registry.NewRetryStore(st, registry.RetryConfig{}))
+		reg.UseStore(registry.NewStore(registry.NewRetryBlob(st.Backend(), registry.RetryConfig{})))
 		rep, err := reg.WarmStart(time.Now())
 		if err != nil {
 			log.Fatal(err)

@@ -114,14 +114,14 @@
 // SHAP background, seed and trained-explainer metadata — with
 // bit-identical predict and default-method explain parity after a round
 // trip; tree models rebuild their flattened batch-routing layouts on
-// load. The registry persists through a pluggable registry.Store
-// (filesystem first: content-addressed artifacts plus an atomically
-// written manifest), warm-starts from it on boot (explaind -store),
-// persists streaming retrains, and moves artifacts between processes via
-// GET /v1/models/{name}/artifact and POST /v1/models/import. Corruption
-// is typed: truncated artifacts, manifest version mismatches and unknown
-// model kinds each surface distinct errors while the rest of the
-// registry keeps serving.
+// load. The registry persists through registry.Store, laid over a
+// pluggable blob backend (filesystem first: content-addressed artifacts
+// plus an atomically written manifest), warm-starts from it on boot
+// (explaind -store), persists streaming retrains, and moves artifacts
+// between processes via GET /v1/models/{name}/artifact and POST
+// /v1/models/import. Corruption is typed: truncated artifacts, manifest
+// version mismatches and unknown model kinds each surface distinct
+// errors while the rest of the registry keeps serving.
 //
 // # The experiment runner
 //
@@ -187,15 +187,16 @@
 // queue return 503+Retry-After when saturated, and /healthz + /readyz
 // report per-model state (ready/degraded/shedding/training/failed)
 // plus store health. Persistence failures never gate inference — the
-// store sits behind a retrying decorator (jittered exponential backoff,
-// transient-vs-permanent classification, circuit breaker with half-open
-// probes) and a full outage degrades health while explains keep
-// answering. The whole contract is chaos-tested: registry.ChaosStore
-// (seeded deterministic error/latency/torn-write injection) and
-// feed.Fault (stalls, bursts) drive the internal/chaos suite, which
-// asserts — under -race, at a 20% store error rate — that every
-// response is a valid, possibly degraded or partial, result or a typed
-// 4xx/5xx, with no panics, leaks or wedged locks.
+// store's backend sits behind a retrying decorator, registry.RetryBlob
+// (jittered exponential backoff, transient-vs-permanent classification,
+// circuit breaker with half-open probes), and a full outage degrades
+// health while explains keep answering. The whole contract is
+// chaos-tested over FSBlob ← ChaosBlob ← RetryBlob ← Store ← Registry:
+// registry.ChaosBlob (seeded deterministic error/latency/torn-write
+// injection) and feed.Fault (stalls, bursts) drive the internal/chaos
+// suite, which asserts — under -race, at a 20% store error rate — that
+// every response is a valid, possibly degraded or partial, result or a
+// typed 4xx/5xx, with no panics, leaks or wedged locks.
 //
 // # The cluster plane
 //
@@ -220,11 +221,13 @@
 // persistManifest merges concurrent writers so fleets never clobber
 // each other). The store itself is object-store-shaped:
 // registry.BlobBackend is a put/get/delete/list bucket surface an S3
-// adapter can satisfy, and registry.NewBlobStore lifts any bucket into
-// the one artifact store implementation. The filesystem (FSBlob, behind
-// OpenFSStore) and memory (MemBlob) are two such buckets; conformance
-// suites pin both backends, and the store over each, plain and
-// retry-wrapped, to identical semantics.
+// adapter can satisfy, and registry.NewStore lays the one artifact store
+// over any bucket. The filesystem (FSBlob, behind OpenFSStore) and
+// memory (MemBlob) are two such buckets, and the retry and fault
+// decorators (RetryBlob, ChaosBlob) are buckets that wrap a bucket;
+// conformance suites pin every backend and decorator to MemBlob's
+// semantics, and the store over each backend, bare and retry-wrapped,
+// to one contract.
 // Requests carry X-Request-Id end to end (minted when absent, echoed in
 // error bodies) and X-Served-By names the answering node; /healthz
 // reports ring ownership, peer liveness and sync lag. The 3-node

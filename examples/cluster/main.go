@@ -60,7 +60,7 @@ func main() {
 		}
 		reg := registry.New()
 		reg.OnStoreError = func(err error) { log.Printf("store: %v", err) }
-		reg.UseStore(registry.NewRetryStore(st, registry.RetryConfig{}))
+		reg.UseStore(registry.NewStore(registry.NewRetryBlob(st.Backend(), registry.RetryConfig{})))
 		srv := serve.NewServer(reg)
 		srv.NodeID = id
 		nodes[i] = &fleetNode{id: id, reg: reg, srv: srv, hs: httptest.NewServer(srv)}

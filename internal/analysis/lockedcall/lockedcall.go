@@ -224,8 +224,9 @@ func isMutex(t types.Type, trackPlain bool) bool {
 }
 
 // isStoreMethod reports whether sel calls a method on a value whose
-// static type is an interface named Store (the registry's persistence
-// backend) or a concrete implementation of one.
+// static type (or pointed-to type) is named Store: the registry's
+// persistence plane (a struct) or the explanation cache's tier-2
+// backend (an interface).
 func isStoreMethod(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	if pass.SelectorPkg(sel) != "" {
 		return false
@@ -239,27 +240,7 @@ func isStoreMethod(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	if named.Obj().Name() == "Store" {
-		return true
-	}
-	// Concrete store types: named *Store implementations (BlobStore,
-	// RetryStore, …) whose package also declares a Store interface they
-	// satisfy.
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return false
-	}
-	if obj, ok := pkg.Scope().Lookup("Store").(*types.TypeName); ok {
-		if iface, ok := obj.Type().Underlying().(*types.Interface); ok {
-			if types.Implements(tv.Type, iface) || types.Implements(types.NewPointer(tv.Type), iface) {
-				return true
-			}
-		}
-	}
-	return false
+	return ok && named.Obj().Name() == "Store"
 }
 
 // markEarlyExitReleases sets condReleaseRet on release events whose

@@ -7,16 +7,25 @@ import (
 	"time"
 )
 
-// Store mirrors the registry persistence backend.
-type Store interface {
-	PutManifest(m string) error
-	GetArtifact(digest string) ([]byte, error)
+// Store mirrors the registry's persistence plane: a concrete type laid
+// over a blob backend, matched by its name.
+type Store struct {
+	b map[string]string
+}
+
+func (s *Store) PutManifest(m string) error {
+	s.b["manifest.json"] = m
+	return nil
+}
+
+func (s *Store) GetArtifact(digest string) ([]byte, error) {
+	return []byte(s.b["artifacts/"+digest]), nil
 }
 
 type Registry struct {
 	mu      sync.RWMutex
 	storeMu sync.Mutex
-	store   Store
+	store   *Store
 	state   map[string]string
 	events  chan string
 }

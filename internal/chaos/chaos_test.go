@@ -44,10 +44,10 @@ func trainPipeline(t *testing.T) *core.Pipeline {
 }
 
 // stack is one serving stack over a fault-injected store:
-// OpenFSStore ← ChaosStore(errRate) ← RetryStore ← Registry ← Server.
+// FSBlob ← ChaosBlob(errRate) ← RetryBlob ← Store ← Registry ← Server.
 type stack struct {
 	reg       *registry.Registry
-	chaos     *registry.ChaosStore
+	chaos     *registry.ChaosBlob
 	s         *serve.Server
 	srv       *httptest.Server
 	storeErrs atomic.Int64
@@ -60,14 +60,14 @@ func newStack(t *testing.T, errRate float64, seed int64) *stack {
 		t.Fatal(err)
 	}
 	st := &stack{}
-	st.chaos = registry.NewChaosStore(fs, registry.ChaosConfig{ErrRate: errRate, Seed: seed})
-	rs := registry.NewRetryStore(st.chaos, registry.RetryConfig{
+	st.chaos = registry.NewChaosBlob(fs.Backend(), registry.ChaosConfig{ErrRate: errRate, Seed: seed})
+	rb := registry.NewRetryBlob(st.chaos, registry.RetryConfig{
 		Seed:  seed,
 		Sleep: func(time.Duration) {}, // no real backoff sleeps in tests
 	})
 	st.reg = registry.New()
 	st.reg.OnStoreError = func(error) { st.storeErrs.Add(1) }
-	st.reg.UseStore(rs)
+	st.reg.UseStore(registry.NewStore(rb))
 	if _, err := st.reg.AddReady(registry.Spec{Name: "default"}, trainPipeline(t), time.Now()); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestChaosSwapNeverWedges(t *testing.T) {
 		t.Fatalf("readyz models = %+v; want retrains %d surfaced", rr.Models, swaps)
 	}
 	if rr.Store == nil {
-		t.Fatal("readyz must report store health when a RetryStore is attached")
+		t.Fatal("readyz must report store health when a RetryBlob is attached")
 	}
 	if st.chaos.Injected() == 0 {
 		t.Fatal("chaos store injected nothing; the test exercised no faults")
@@ -358,15 +358,15 @@ func TestChaosWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := registry.NewChaosStore(fs2, registry.ChaosConfig{ErrRate: 0.5, Seed: 21})
-	rs := registry.NewRetryStore(cs, registry.RetryConfig{
+	cs := registry.NewChaosBlob(fs2.Backend(), registry.ChaosConfig{ErrRate: 0.5, Seed: 21})
+	rb := registry.NewRetryBlob(cs, registry.RetryConfig{
 		Seed:             21,
 		BreakerThreshold: 100, // keep the breaker out of this test's way
 		Sleep:            func(time.Duration) {},
 	})
 	reg := registry.New()
 	reg.OnStoreError = func(error) {}
-	reg.UseStore(rs)
+	reg.UseStore(registry.NewStore(rb))
 
 	rep, err := reg.WarmStart(time.Now())
 	if err != nil {
@@ -389,8 +389,9 @@ func TestChaosWarmStart(t *testing.T) {
 	// The warm starts alone draw too few operations to guarantee an
 	// injection; drive enough reads that a silent (never-injecting)
 	// chaos store cannot pass the suite.
+	bare := registry.NewStore(cs)
 	for i := 0; i < 32; i++ {
-		_, _, _ = cs.GetManifest()
+		_, _, _ = bare.GetManifest()
 	}
 	if cs.Injected() == 0 {
 		t.Fatal("chaos store injected nothing across warm starts and 32 reads")

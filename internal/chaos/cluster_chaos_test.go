@@ -16,17 +16,17 @@ import (
 // Cluster chaos: the node-down and partition scenarios from the serving
 // fleet, run on top of the same fault-injected store plane as the rest
 // of the suite. Every node reads and writes the shared bucket through a
-// ChaosStore (20% error rate) behind a RetryStore, so replication sync,
+// ChaosBlob (20% error rate) behind a RetryBlob, so replication sync,
 // manifest merges and artifact fetches all run under store faults while
 // nodes die. The resilience contract is unchanged: every response stays
 // inside allowedStatus, and the fleet keeps answering 200s.
 
 // fleetNode is one chaos-fleet member: a full serving stack whose store
-// chain is shared-bucket ← BlobStore ← ChaosStore ← RetryStore.
+// chain is shared-bucket ← ChaosBlob ← RetryBlob ← Store.
 type fleetNode struct {
 	id    string
 	reg   *registry.Registry
-	chaos *registry.ChaosStore
+	chaos *registry.ChaosBlob
 	s     *serve.Server
 	hs    *httptest.Server
 	cl    *cluster.Cluster
@@ -44,16 +44,16 @@ func newChaosFleet(t *testing.T, n int, errRate float64, seed int64) []*fleetNod
 	for i := range nodes {
 		id := fmt.Sprintf("node-%c", 'a'+i)
 		nd := &fleetNode{id: id}
-		nd.chaos = registry.NewChaosStore(registry.NewBlobStore(blob), registry.ChaosConfig{
+		nd.chaos = registry.NewChaosBlob(blob, registry.ChaosConfig{
 			ErrRate: errRate,
 			Seed:    seed + int64(i),
 		})
 		nd.reg = registry.New()
 		nd.reg.OnStoreError = func(error) {} // chaos-injected; retries absorb most
-		nd.reg.UseStore(registry.NewRetryStore(nd.chaos, registry.RetryConfig{
+		nd.reg.UseStore(registry.NewStore(registry.NewRetryBlob(nd.chaos, registry.RetryConfig{
 			Seed:  seed + int64(i),
 			Sleep: func(time.Duration) {},
-		}))
+		})))
 		nd.s = serve.NewServer(nd.reg)
 		nd.s.NodeID = id
 		nd.hs = httptest.NewServer(nd.s)

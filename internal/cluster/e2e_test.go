@@ -49,7 +49,7 @@ func newFleet(t testing.TB, n int) []*e2eNode {
 		id := fmt.Sprintf("node-%c", 'a'+i)
 		reg := registry.New()
 		reg.OnStoreError = func(err error) { t.Errorf("%s store error: %v", id, err) }
-		reg.UseStore(registry.NewBlobStore(blob))
+		reg.UseStore(registry.NewStore(blob))
 		srv := serve.NewServer(reg)
 		srv.NodeID = id
 		srv.Logf = t.Logf
@@ -212,6 +212,16 @@ func TestClusterTrainOnASyncServeEverywhere(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
+	}
+
+	// A body over the JSON cap stops at the proxy hop: 413, naming the
+	// cap that applied.
+	big := `{"features":[0.5,-0.2,1.0]}` + strings.Repeat(" ", serve.MaxJSONBytes)
+	resp3 := doReq(t, http.MethodPost, b.hs.URL+"/v1/models/"+name+"/predict", big, nil)
+	body3, _ := io.ReadAll(resp3.Body)
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body3), fmt.Sprint(serve.MaxJSONBytes)) {
+		t.Fatalf("oversized predict via B: %d (%s), want 413 naming %d bytes", resp3.StatusCode, body3, serve.MaxJSONBytes)
 	}
 
 	// GETs proxy the same way.

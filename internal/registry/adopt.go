@@ -139,7 +139,7 @@ func (r *Registry) decideAdoptLocked(rec ModelRecord) adoptAction {
 // re-check and install under the write lock — the decision can change
 // while the artifact is in flight (a local build finishing, another
 // sync racing).
-func (r *Registry) adoptRecord(st Store, rec ModelRecord) (adoptAction, error) {
+func (r *Registry) adoptRecord(st *Store, rec ModelRecord) (adoptAction, error) {
 	name := rec.Spec.Name
 	r.mu.RLock()
 	action := r.decideAdoptLocked(rec)

@@ -12,7 +12,7 @@ import (
 // registries over one in-memory bucket, the same shape as two explaind
 // nodes sharing an object store.
 
-func newSharedPair(t *testing.T) (*Registry, *Registry, *BlobStore) {
+func newSharedPair(t *testing.T) (*Registry, *Registry, *Store) {
 	t.Helper()
 	st := NewMemStore()
 	mk := func() *Registry {

@@ -8,17 +8,18 @@ import (
 
 // chaosSequence runs a fixed operation sequence and returns which ops
 // failed by injection.
-func chaosSequence(t *testing.T, cs *ChaosStore, n int) []bool {
+func chaosSequence(t *testing.T, cs *ChaosBlob, n int) []bool {
 	t.Helper()
+	st := NewStore(cs)
 	outcomes := make([]bool, n)
 	for i := range outcomes {
-		_, err := cs.PutArtifact([]byte{byte(i)})
+		_, err := st.PutArtifact([]byte{byte(i)})
 		outcomes[i] = errors.Is(err, ErrInjected)
 	}
 	return outcomes
 }
 
-func TestChaosStoreDeterministic(t *testing.T) {
+func TestChaosBlobDeterministic(t *testing.T) {
 	fs1, err := OpenFSStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -28,8 +29,8 @@ func TestChaosStoreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := ChaosConfig{ErrRate: 0.3, Seed: 42}
-	a := chaosSequence(t, NewChaosStore(fs1, cfg), 200)
-	b := chaosSequence(t, NewChaosStore(fs2, cfg), 200)
+	a := chaosSequence(t, NewChaosBlob(fs1.Backend(), cfg), 200)
+	b := chaosSequence(t, NewChaosBlob(fs2.Backend(), cfg), 200)
 	var fails int
 	for i := range a {
 		if a[i] != b[i] {
@@ -44,14 +45,15 @@ func TestChaosStoreDeterministic(t *testing.T) {
 	}
 }
 
-func TestChaosStoreTornWrites(t *testing.T) {
+func TestChaosBlobTornWrites(t *testing.T) {
 	fs, err := OpenFSStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewChaosStore(fs, ChaosConfig{TornRate: 1, Seed: 7})
+	cs := NewChaosBlob(fs.Backend(), ChaosConfig{TornRate: 1, Seed: 7})
+	st := NewStore(cs)
 	data := []byte("will-be-lost")
-	dig, err := cs.PutArtifact(data)
+	dig, err := st.PutArtifact(data)
 	if err != nil {
 		t.Fatalf("torn write must report success: %v", err)
 	}
@@ -65,7 +67,7 @@ func TestChaosStoreTornWrites(t *testing.T) {
 	if cs.Torn() != 1 {
 		t.Fatalf("Torn() = %d, want 1", cs.Torn())
 	}
-	if err := cs.PutManifest(Manifest{Version: ManifestVersion}); err != nil {
+	if err := st.PutManifest(Manifest{Version: ManifestVersion}); err != nil {
 		t.Fatalf("torn manifest write must report success: %v", err)
 	}
 	if _, ok, err := fs.GetManifest(); err != nil || ok {
@@ -73,7 +75,7 @@ func TestChaosStoreTornWrites(t *testing.T) {
 	}
 }
 
-func TestRetryStoreHealsChaos(t *testing.T) {
+func TestRetryBlobHealsChaos(t *testing.T) {
 	// The full resilience stack: filesystem store ← chaos (40% errors) ← retry.
 	// With 4 attempts per op the per-op failure probability is 0.4^4 ≈
 	// 2.6%, so the overwhelming majority of operations must succeed; the
@@ -82,19 +84,20 @@ func TestRetryStoreHealsChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewChaosStore(fs, ChaosConfig{ErrRate: 0.4, Seed: 11})
-	rs := NewRetryStore(cs, RetryConfig{Seed: 11, BreakerThreshold: 100, Sleep: func(time.Duration) {}})
+	cs := NewChaosBlob(fs.Backend(), ChaosConfig{ErrRate: 0.4, Seed: 11})
+	rb := NewRetryBlob(cs, RetryConfig{Seed: 11, BreakerThreshold: 100, Sleep: func(time.Duration) {}})
+	st := NewStore(rb)
 	okOps := 0
 	for i := 0; i < 50; i++ {
 		data := []byte{byte(i), byte(i >> 8)}
-		dig, err := rs.PutArtifact(data)
+		dig, err := st.PutArtifact(data)
 		if err != nil {
 			if !Transient(err) {
 				t.Fatalf("put %d: exhausted retries must stay transient, got %v", i, err)
 			}
 			continue
 		}
-		got, err := rs.GetArtifact(dig)
+		got, err := st.GetArtifact(dig)
 		if err != nil {
 			if !Transient(err) {
 				t.Fatalf("get %d: %v", i, err)
@@ -112,7 +115,7 @@ func TestRetryStoreHealsChaos(t *testing.T) {
 	if cs.Injected() == 0 {
 		t.Fatal("chaos injected nothing at 40%; the test exercised no faults")
 	}
-	if h := rs.StoreHealth(); h.Retries == 0 {
+	if h := rb.StoreHealth(); h.Retries == 0 {
 		t.Fatalf("health = %+v; want recorded retries", h)
 	}
 }

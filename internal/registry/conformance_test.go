@@ -11,10 +11,9 @@ import (
 	"time"
 )
 
-// The Store-conformance suite: every store — BlobStore over the
-// filesystem (OpenFSStore) and over memory (MemStore), and their
-// RetryStore-wrapped variants — must present the identical contract to
-// the registry:
+// The Store-conformance suite: the Store over every backend — the
+// filesystem (OpenFSStore) and memory (MemStore), each bare and wrapped
+// in a RetryBlob — must present the identical contract to the registry:
 // content-addressed idempotent artifacts, digest verification on read,
 // the sentinel-error taxonomy (ErrArtifactNotFound, ErrCorruptArtifact),
 // no-op deletes of missing artifacts, an atomic never-torn manifest, and
@@ -25,18 +24,15 @@ import (
 // storeFixture opens a fresh store of one backend family.
 type storeFixture struct {
 	name string
-	open func(t *testing.T) Store
+	open func(t *testing.T) *Store
 }
 
 // corruptArtifact flips a byte of a stored artifact behind the store's
-// back, through the blob backend under it (over the filesystem backend,
-// in the file on disk), so digest verification can be exercised.
-func corruptArtifact(t *testing.T, st Store, digest string) {
+// back, through its blob backend (over the filesystem backend, in the
+// file on disk), so digest verification can be exercised.
+func corruptArtifact(t *testing.T, st *Store, digest string) {
 	t.Helper()
-	if rs, ok := st.(*RetryStore); ok {
-		st = rs.Inner()
-	}
-	b := st.(*BlobStore).Backend()
+	b := st.Backend()
 	data, err := b.Get(blobArtifactPrefix + digest)
 	if err != nil {
 		t.Fatal(err)
@@ -47,21 +43,24 @@ func corruptArtifact(t *testing.T, st Store, digest string) {
 	}
 }
 
-// retryWrap wraps a fixture's store in a RetryStore with no real
-// sleeping.
+// retryWrap lays a fixture's store over a RetryBlob around its backend,
+// with no real sleeping.
 func retryWrap(f storeFixture) storeFixture {
 	return storeFixture{
 		name: "Retry" + f.name,
-		open: func(t *testing.T) Store {
-			return NewRetryStore(f.open(t), RetryConfig{Seed: 1, Sleep: func(time.Duration) {}})
+		open: func(t *testing.T) *Store {
+			return NewStore(NewRetryBlob(f.open(t).Backend(), noSleepRetry))
 		},
 	}
 }
 
+// noSleepRetry is the retry configuration of the wrapped fixtures.
+var noSleepRetry = RetryConfig{Seed: 1, Sleep: func(time.Duration) {}}
+
 func storeFixtures() []storeFixture {
 	fs := storeFixture{
 		name: "FSStore",
-		open: func(t *testing.T) Store {
+		open: func(t *testing.T) *Store {
 			st, err := OpenFSStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -71,7 +70,7 @@ func storeFixtures() []storeFixture {
 	}
 	mem := storeFixture{
 		name: "MemStore",
-		open: func(t *testing.T) Store { return NewMemStore() },
+		open: func(t *testing.T) *Store { return NewMemStore() },
 	}
 	return []storeFixture{fs, mem, retryWrap(fs), retryWrap(mem)}
 }
@@ -276,23 +275,37 @@ func conformExperiments(t *testing.T, f storeFixture) {
 }
 
 // TestBlobBackendConformance holds every BlobBackend to MemBlob's
-// semantics: the contract BlobStore and the explanation cache's tier 2
-// are written against. dir is the filesystem backend's root ("" for
+// semantics: the contract Store and the explanation cache's tier 2 are
+// written against, which the retry and fault-injection decorators must
+// pass through unchanged. dir is the filesystem backend's root ("" for
 // memory), where an interrupted Put's temp file can be planted.
 func TestBlobBackendConformance(t *testing.T) {
+	type opener func(t *testing.T) (b BlobBackend, dir string)
+	fsBlob := func(t *testing.T) (BlobBackend, string) {
+		dir := t.TempDir()
+		st, err := OpenFSStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Backend(), dir
+	}
+	memBlob := func(t *testing.T) (BlobBackend, string) { return NewMemBlob(), "" }
+	wrap := func(open opener, decorate func(BlobBackend) BlobBackend) opener {
+		return func(t *testing.T) (BlobBackend, string) {
+			b, dir := open(t)
+			return decorate(b), dir
+		}
+	}
+	retry := func(b BlobBackend) BlobBackend { return NewRetryBlob(b, noSleepRetry) }
 	backends := []struct {
 		name string
-		open func(t *testing.T) (b BlobBackend, dir string)
+		open opener
 	}{
-		{"FSBlob", func(t *testing.T) (BlobBackend, string) {
-			dir := t.TempDir()
-			st, err := OpenFSStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st.Backend(), dir
-		}},
-		{"MemBlob", func(t *testing.T) (BlobBackend, string) { return NewMemBlob(), "" }},
+		{"FSBlob", fsBlob},
+		{"MemBlob", memBlob},
+		{"RetryFSBlob", wrap(fsBlob, retry)},
+		{"RetryMemBlob", wrap(memBlob, retry)},
+		{"ChaosFSBlob", wrap(fsBlob, func(b BlobBackend) BlobBackend { return NewChaosBlob(b, ChaosConfig{}) })},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 // <dir>/<key>, the key's slashes becoming subdirectories. Every Put goes
 // through a temp file, an fsync and a rename, so a crash mid-write never
 // leaves a torn object behind — at worst a stale one. Keys are relative
-// slash-separated paths that never leave dir: BlobStore builds them from
+// slash-separated paths that never leave dir: Store builds them from
 // validated digests and experiment ids, and the explanation cache's tier
 // 2 from content digests and hex leaves.
 type FSBlob struct {
@@ -23,16 +23,17 @@ type FSBlob struct {
 }
 
 // OpenFSStore opens (creating if needed) a filesystem store rooted at
-// dir: BlobStore's layout over an FSBlob, so artifacts live under
+// dir: Store's layout over an FSBlob, so artifacts live under
 // <dir>/artifacts/<digest>, the manifest at <dir>/manifest.json, and
-// experiment matrices under <dir>/experiments/<id>.json.
-func OpenFSStore(dir string) (*BlobStore, error) {
+// experiment matrices under <dir>/experiments/<id>.json. Wrap its
+// Backend() (NewStore(NewRetryBlob(st.Backend(), cfg))) for retries.
+func OpenFSStore(dir string) (*Store, error) {
 	for _, sub := range []string{"", "artifacts", "experiments"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("registry: open store: %w", err)
 		}
 	}
-	return NewBlobStore(&FSBlob{dir: dir}), nil
+	return NewStore(&FSBlob{dir: dir}), nil
 }
 
 func (b *FSBlob) path(key string) string {

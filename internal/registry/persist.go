@@ -12,7 +12,7 @@ import (
 // train (synchronous AddReady, background Create build, streaming Swap)
 // writes its artifact and refreshes the manifest; call WarmStart right
 // after UseStore to restore the previous process's state first.
-func (r *Registry) UseStore(st Store) {
+func (r *Registry) UseStore(st *Store) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.store = st
@@ -22,7 +22,7 @@ func (r *Registry) UseStore(st Store) {
 }
 
 // StoreBackend returns the attached store, or nil.
-func (r *Registry) StoreBackend() Store {
+func (r *Registry) StoreBackend() *Store {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.store

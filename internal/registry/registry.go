@@ -18,6 +18,7 @@ import (
 
 	"nfvxai/internal/core"
 	"nfvxai/internal/nfv/telemetry"
+	"nfvxai/internal/xai"
 	"nfvxai/internal/xai/xcache"
 )
 
@@ -82,11 +83,12 @@ func (sp Spec) withDefaults() Spec {
 }
 
 // MaxHours caps the virtual telemetry horizon a spec may request (30
-// days); MaxShapSamples caps KernelSHAP coalitions. Both bound the work a
+// days); MaxShapSamples caps KernelSHAP coalitions, at the bound every
+// explainer build enforces (xai.MaxSamples). Both bound the work a
 // single POST /v1/models can enqueue in a background goroutine.
 const (
 	MaxHours       = 720.0
-	MaxShapSamples = 1 << 16
+	MaxShapSamples = xai.MaxSamples
 )
 
 // Validate checks the spec's model, target and work bounds. Scenario
@@ -288,7 +290,7 @@ type Registry struct {
 	defaultKey string
 	// store, when non-nil, is the durable artifact plane (UseStore);
 	// digests tracks each persisted model's current artifact address.
-	store   Store
+	store   *Store
 	digests map[string]string
 	// orphans are manifest records whose artifacts failed to restore at
 	// WarmStart (e.g. a transient I/O error). They are carried forward

@@ -1,11 +1,11 @@
-// Store fault tolerance: RetryStore decorates any Store with jittered
-// exponential-backoff retries for transient failures and a circuit
-// breaker that fails fast while the backend is down, half-opening with a
-// single probe after a cooldown. Wrapped around the filesystem store
-// (OpenFSStore) it lets manifest persistence, artifact GC and warm starts
-// ride out transient I/O failures (full disk, flaky NFS, chaos
-// injection) — persistence errors degrade health reporting, they never
-// panic or wedge the registry.
+// Store fault tolerance: RetryBlob decorates any BlobBackend with
+// jittered exponential-backoff retries for transient failures and a
+// circuit breaker that fails fast while the backend is down, half-opening
+// with a single probe after a cooldown. Under the registry's Store
+// (NewStore(NewRetryBlob(fsBlob, cfg))) it lets manifest persistence,
+// artifact GC and warm starts ride out transient I/O failures (full disk,
+// flaky NFS, chaos injection) — persistence errors degrade health
+// reporting, they never panic or wedge the registry.
 package registry
 
 import (
@@ -20,7 +20,7 @@ import (
 // fast until the cooldown elapses and a probe succeeds.
 var ErrStoreUnavailable = errors.New("registry: store unavailable (circuit open)")
 
-// Store health states reported by RetryStore.StoreHealth.
+// Store health states reported by RetryBlob.StoreHealth.
 const (
 	StoreStateOK       = "ok"
 	StoreStateDegraded = "degraded"  // recent failures, still closed
@@ -28,7 +28,7 @@ const (
 	StoreStateHalfOpen = "half-open" // cooldown elapsed, probing
 )
 
-// StoreHealth is a point-in-time snapshot of a RetryStore's condition,
+// StoreHealth is a point-in-time snapshot of a RetryBlob's condition,
 // surfaced through /healthz and /readyz.
 type StoreHealth struct {
 	State string `json:"state"`
@@ -44,13 +44,7 @@ type StoreHealth struct {
 	LastFailure time.Time `json:"last_failure,omitempty"`
 }
 
-// HealthReporter is implemented by instrumented stores (RetryStore);
-// Registry.StoreHealth discovers it to surface store health over HTTP.
-type HealthReporter interface {
-	StoreHealth() StoreHealth
-}
-
-// RetryConfig tunes a RetryStore. Zero values take the defaults.
+// RetryConfig tunes a RetryBlob. Zero values take the defaults.
 type RetryConfig struct {
 	// MaxAttempts is the total tries per operation (first + retries).
 	MaxAttempts int // default 4
@@ -93,29 +87,20 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	return c
 }
 
-// Transient reports whether a store error is worth retrying. Typed
-// registry errors are permanent: a missing or corrupt artifact, a version
-// mismatch, or an already-open breaker will not heal by retrying —
-// everything else (I/O errors, chaos injection) is assumed transient.
+// Transient reports whether a backend error is worth retrying. A missing
+// key or an already-open breaker will not heal by retrying — everything
+// else (I/O errors, chaos injection) is assumed transient. The registry's
+// own typed errors (corrupt artifact, version mismatch, …) are raised by
+// Store above the backend, so they never reach the retry loop.
 func Transient(err error) bool {
-	switch {
-	case err == nil,
-		errors.Is(err, ErrArtifactNotFound),
-		errors.Is(err, ErrCorruptArtifact),
-		errors.Is(err, ErrManifestVersion),
-		errors.Is(err, ErrArtifactVersion),
-		errors.Is(err, ErrNoStore),
-		errors.Is(err, ErrStoreUnavailable):
-		return false
-	}
-	return true
+	return err != nil && !errors.Is(err, ErrBlobNotFound) && !errors.Is(err, ErrStoreUnavailable)
 }
 
-// RetryStore decorates a Store with retries and a circuit breaker. All
-// methods are safe for concurrent use; the internal mutex is never held
-// across backend I/O or sleeps.
-type RetryStore struct {
-	inner Store
+// RetryBlob decorates a BlobBackend with retries and a circuit breaker.
+// All methods are safe for concurrent use; the internal mutex is never
+// held across backend I/O or sleeps.
+type RetryBlob struct {
+	inner BlobBackend
 	cfg   RetryConfig
 
 	mu        sync.Mutex
@@ -129,19 +114,16 @@ type RetryStore struct {
 	lastFail  time.Time
 }
 
-// NewRetryStore wraps inner with retry/backoff and a circuit breaker.
-func NewRetryStore(inner Store, cfg RetryConfig) *RetryStore {
+// NewRetryBlob wraps inner with retry/backoff and a circuit breaker.
+func NewRetryBlob(inner BlobBackend, cfg RetryConfig) *RetryBlob {
 	cfg = cfg.withDefaults()
-	return &RetryStore{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &RetryBlob{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
-
-// Inner returns the wrapped store (chaos tests reach through).
-func (r *RetryStore) Inner() Store { return r.inner }
 
 // admit decides whether an operation may run: closed breaker → yes;
 // open within cooldown → fail fast; cooldown elapsed → exactly one
 // caller becomes the half-open probe, the rest keep failing fast.
-func (r *RetryStore) admit() (probe bool, err error) {
+func (r *RetryBlob) admit() (probe bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.openUntil.IsZero() {
@@ -158,8 +140,8 @@ func (r *RetryStore) admit() (probe bool, err error) {
 	return true, nil
 }
 
-// do runs one store operation through the retry loop and breaker.
-func (r *RetryStore) do(fn func() error) error {
+// do runs one backend operation through the retry loop and breaker.
+func (r *RetryBlob) do(fn func() error) error {
 	probe, err := r.admit()
 	if err != nil {
 		return err
@@ -186,7 +168,7 @@ func (r *RetryStore) do(fn func() error) error {
 }
 
 // backoff sleeps the jittered exponential delay for retry i (1-based).
-func (r *RetryStore) backoff(i int) {
+func (r *RetryBlob) backoff(i int) {
 	d := r.cfg.BaseDelay << uint(i-1)
 	if d > r.cfg.MaxDelay {
 		d = r.cfg.MaxDelay
@@ -199,7 +181,7 @@ func (r *RetryStore) backoff(i int) {
 	r.cfg.Sleep(jittered)
 }
 
-func (r *RetryStore) recordOK(probe bool) {
+func (r *RetryBlob) recordOK(probe bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.consec = 0
@@ -209,7 +191,7 @@ func (r *RetryStore) recordOK(probe bool) {
 	}
 }
 
-func (r *RetryStore) recordFailure(probe bool, err error) {
+func (r *RetryBlob) recordFailure(probe bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.consec++
@@ -227,8 +209,8 @@ func (r *RetryStore) recordFailure(probe bool, err error) {
 	}
 }
 
-// StoreHealth implements HealthReporter.
-func (r *RetryStore) StoreHealth() StoreHealth {
+// StoreHealth reports the breaker's state and the retry counters.
+func (r *RetryBlob) StoreHealth() StoreHealth {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := StoreHealth{
@@ -254,78 +236,47 @@ func (r *RetryStore) StoreHealth() StoreHealth {
 	return h
 }
 
-// ─── Store interface, each operation through the retry loop ─────────────
+// ─── BlobBackend, each operation through the retry loop ─────────────────
 
-func (r *RetryStore) PutArtifact(data []byte) (string, error) {
-	var digest string
-	err := r.do(func() error {
-		var e error
-		digest, e = r.inner.PutArtifact(data)
-		return e
-	})
-	return digest, err
+// Put implements BlobBackend.
+func (r *RetryBlob) Put(key string, data []byte) error {
+	return r.do(func() error { return r.inner.Put(key, data) })
 }
 
-func (r *RetryStore) GetArtifact(digest string) ([]byte, error) {
+// Get implements BlobBackend.
+func (r *RetryBlob) Get(key string) ([]byte, error) {
 	var data []byte
 	err := r.do(func() error {
 		var e error
-		data, e = r.inner.GetArtifact(digest)
+		data, e = r.inner.Get(key)
 		return e
 	})
 	return data, err
 }
 
-func (r *RetryStore) DeleteArtifact(digest string) error {
-	return r.do(func() error { return r.inner.DeleteArtifact(digest) })
+// Delete implements BlobBackend.
+func (r *RetryBlob) Delete(key string) error {
+	return r.do(func() error { return r.inner.Delete(key) })
 }
 
-func (r *RetryStore) PutManifest(m Manifest) error {
-	return r.do(func() error { return r.inner.PutManifest(m) })
-}
-
-func (r *RetryStore) GetManifest() (Manifest, bool, error) {
-	var (
-		m  Manifest
-		ok bool
-	)
+// List implements BlobBackend.
+func (r *RetryBlob) List(prefix string) ([]string, error) {
+	var keys []string
 	err := r.do(func() error {
 		var e error
-		m, ok, e = r.inner.GetManifest()
+		keys, e = r.inner.List(prefix)
 		return e
 	})
-	return m, ok, err
+	return keys, err
 }
 
-func (r *RetryStore) PutExperiment(id string, data []byte) error {
-	return r.do(func() error { return r.inner.PutExperiment(id, data) })
-}
-
-func (r *RetryStore) GetExperiment(id string) ([]byte, error) {
-	var data []byte
-	err := r.do(func() error {
-		var e error
-		data, e = r.inner.GetExperiment(id)
-		return e
-	})
-	return data, err
-}
-
-func (r *RetryStore) ListExperiments() ([]string, error) {
-	var ids []string
-	err := r.do(func() error {
-		var e error
-		ids, e = r.inner.ListExperiments()
-		return e
-	})
-	return ids, err
-}
-
-// StoreHealth reports the attached store's health when it is
-// instrumented; ok is false for bare or missing stores.
+// StoreHealth reports the health of the attached store when its backend
+// is a RetryBlob; ok is false for bare or missing stores.
 func (r *Registry) StoreHealth() (StoreHealth, bool) {
-	if hr, ok := r.StoreBackend().(HealthReporter); ok {
-		return hr.StoreHealth(), true
+	if st := r.StoreBackend(); st != nil {
+		if rb, ok := st.Backend().(*RetryBlob); ok {
+			return rb.StoreHealth(), true
+		}
 	}
 	return StoreHealth{}, false
 }

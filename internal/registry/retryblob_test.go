@@ -6,16 +6,15 @@ import (
 	"time"
 )
 
-// stubStore fails the first `failures` operations with failErr, then
-// delegates to a real in-memory behavior (PutArtifact only needs the
-// digest; the rest return zero values).
-type stubStore struct {
+// stubBlob fails the first `failures` operations with failErr, then
+// succeeds with zero values.
+type stubBlob struct {
 	failures int
 	failErr  error
 	calls    int
 }
 
-func (s *stubStore) op() error {
+func (s *stubBlob) op() error {
 	s.calls++
 	if s.calls <= s.failures {
 		return s.failErr
@@ -23,19 +22,10 @@ func (s *stubStore) op() error {
 	return nil
 }
 
-func (s *stubStore) PutArtifact(data []byte) (string, error) {
-	if err := s.op(); err != nil {
-		return "", err
-	}
-	return Digest(data), nil
-}
-func (s *stubStore) GetArtifact(digest string) ([]byte, error) { return nil, s.op() }
-func (s *stubStore) DeleteArtifact(digest string) error        { return s.op() }
-func (s *stubStore) PutManifest(m Manifest) error              { return s.op() }
-func (s *stubStore) GetManifest() (Manifest, bool, error)      { return Manifest{}, false, s.op() }
-func (s *stubStore) PutExperiment(string, []byte) error        { return s.op() }
-func (s *stubStore) GetExperiment(string) ([]byte, error)      { return nil, s.op() }
-func (s *stubStore) ListExperiments() ([]string, error)        { return nil, s.op() }
+func (s *stubBlob) Put(string, []byte) error      { return s.op() }
+func (s *stubBlob) Get(string) ([]byte, error)    { return nil, s.op() }
+func (s *stubBlob) Delete(string) error           { return s.op() }
+func (s *stubBlob) List(string) ([]string, error) { return nil, s.op() }
 
 var errFlaky = errors.New("flaky I/O")
 
@@ -52,10 +42,7 @@ func fastRetry(sleeps *[]time.Duration) RetryConfig {
 }
 
 func TestTransientClassification(t *testing.T) {
-	permanent := []error{
-		nil, ErrArtifactNotFound, ErrCorruptArtifact,
-		ErrManifestVersion, ErrArtifactVersion, ErrNoStore, ErrStoreUnavailable,
-	}
+	permanent := []error{nil, ErrBlobNotFound, ErrStoreUnavailable}
 	for _, err := range permanent {
 		if Transient(err) {
 			t.Errorf("Transient(%v) = true, want false", err)
@@ -69,11 +56,11 @@ func TestTransientClassification(t *testing.T) {
 	}
 }
 
-func TestRetryStoreRetriesTransient(t *testing.T) {
+func TestRetryBlobRetriesTransient(t *testing.T) {
 	var sleeps []time.Duration
-	inner := &stubStore{failures: 2, failErr: errFlaky}
-	rs := NewRetryStore(inner, fastRetry(&sleeps))
-	if err := rs.PutManifest(Manifest{Version: ManifestVersion}); err != nil {
+	inner := &stubBlob{failures: 2, failErr: errFlaky}
+	rb := NewRetryBlob(inner, fastRetry(&sleeps))
+	if err := NewStore(rb).PutManifest(Manifest{Version: ManifestVersion}); err != nil {
 		t.Fatalf("PutManifest after 2 transient failures: %v", err)
 	}
 	if inner.calls != 3 {
@@ -93,44 +80,45 @@ func TestRetryStoreRetriesTransient(t *testing.T) {
 			t.Errorf("sleep %d = %v, want in [%v, %v]", i, d, lo, hi)
 		}
 	}
-	if h := rs.StoreHealth(); h.State != StoreStateOK || h.Retries != 2 {
+	if h := rb.StoreHealth(); h.State != StoreStateOK || h.Retries != 2 {
 		t.Fatalf("health after recovery = %+v, want ok with 2 retries", h)
 	}
 }
 
-func TestRetryStorePermanentNotRetried(t *testing.T) {
-	inner := &stubStore{failures: 10, failErr: ErrArtifactNotFound}
-	rs := NewRetryStore(inner, fastRetry(nil))
-	if _, err := rs.GetArtifact(Digest([]byte("x"))); !errors.Is(err, ErrArtifactNotFound) {
+func TestRetryBlobPermanentNotRetried(t *testing.T) {
+	inner := &stubBlob{failures: 10, failErr: ErrBlobNotFound}
+	rb := NewRetryBlob(inner, fastRetry(nil))
+	if _, err := NewStore(rb).GetArtifact(Digest([]byte("x"))); !errors.Is(err, ErrArtifactNotFound) {
 		t.Fatalf("err = %v, want ErrArtifactNotFound", err)
 	}
 	if inner.calls != 1 {
 		t.Fatalf("inner calls = %d, want 1 (permanent errors are not retried)", inner.calls)
 	}
 	// A permanent error proves the backend answers: health stays ok.
-	if h := rs.StoreHealth(); h.State != StoreStateOK {
+	if h := rb.StoreHealth(); h.State != StoreStateOK {
 		t.Fatalf("health = %+v, want ok", h)
 	}
 }
 
-func TestRetryStoreBreakerTripAndRecover(t *testing.T) {
+func TestRetryBlobBreakerTripAndRecover(t *testing.T) {
 	cfg := fastRetry(nil)
 	cfg.BreakerThreshold = 2
 	cfg.BreakerCooldown = time.Hour // first: prove fail-fast while open
-	inner := &stubStore{failures: 1 << 30, failErr: errFlaky}
-	rs := NewRetryStore(inner, cfg)
+	inner := &stubBlob{failures: 1 << 30, failErr: errFlaky}
+	rb := NewRetryBlob(inner, cfg)
+	st := NewStore(rb)
 
 	for i := 0; i < 2; i++ {
-		if err := rs.PutManifest(Manifest{}); !errors.Is(err, errFlaky) {
+		if err := st.PutManifest(Manifest{}); !errors.Is(err, errFlaky) {
 			t.Fatalf("op %d: err = %v, want flaky", i, err)
 		}
 	}
-	h := rs.StoreHealth()
+	h := rb.StoreHealth()
 	if h.State != StoreStateOpen || h.Trips != 1 || h.ConsecutiveFailures != 2 {
 		t.Fatalf("health after threshold = %+v, want open/1 trip/2 consec", h)
 	}
 	calls := inner.calls
-	err := rs.PutManifest(Manifest{})
+	err := st.PutManifest(Manifest{})
 	if !errors.Is(err, ErrStoreUnavailable) || !errors.Is(err, errFlaky) {
 		t.Fatalf("open-breaker err = %v, want ErrStoreUnavailable wrapping last cause", err)
 	}
@@ -139,64 +127,66 @@ func TestRetryStoreBreakerTripAndRecover(t *testing.T) {
 	}
 
 	// Cooldown elapsed → exactly one probe; it heals the backend.
-	rs.mu.Lock()
-	rs.openUntil = time.Now().Add(-time.Millisecond)
-	rs.mu.Unlock()
+	rb.mu.Lock()
+	rb.openUntil = time.Now().Add(-time.Millisecond)
+	rb.mu.Unlock()
 	inner.failures = 0 // backend healed
-	if err := rs.PutManifest(Manifest{}); err != nil {
+	if err := st.PutManifest(Manifest{}); err != nil {
 		t.Fatalf("half-open probe: %v", err)
 	}
-	if h := rs.StoreHealth(); h.State != StoreStateOK || h.ConsecutiveFailures != 0 {
+	if h := rb.StoreHealth(); h.State != StoreStateOK || h.ConsecutiveFailures != 0 {
 		t.Fatalf("health after successful probe = %+v, want ok", h)
 	}
-	if err := rs.PutManifest(Manifest{}); err != nil {
+	if err := st.PutManifest(Manifest{}); err != nil {
 		t.Fatalf("post-recovery op: %v", err)
 	}
 }
 
-func TestRetryStoreFailedProbeReopens(t *testing.T) {
+func TestRetryBlobFailedProbeReopens(t *testing.T) {
 	cfg := fastRetry(nil)
 	cfg.BreakerThreshold = 1
 	cfg.BreakerCooldown = time.Hour
-	inner := &stubStore{failures: 1 << 30, failErr: errFlaky}
-	rs := NewRetryStore(inner, cfg)
-	if err := rs.PutManifest(Manifest{}); !errors.Is(err, errFlaky) {
+	inner := &stubBlob{failures: 1 << 30, failErr: errFlaky}
+	rb := NewRetryBlob(inner, cfg)
+	st := NewStore(rb)
+	if err := st.PutManifest(Manifest{}); !errors.Is(err, errFlaky) {
 		t.Fatalf("trip op: %v", err)
 	}
-	rs.mu.Lock()
-	rs.openUntil = time.Now().Add(-time.Millisecond)
-	rs.mu.Unlock()
+	rb.mu.Lock()
+	rb.openUntil = time.Now().Add(-time.Millisecond)
+	rb.mu.Unlock()
 	calls := inner.calls
-	if err := rs.PutManifest(Manifest{}); !errors.Is(err, errFlaky) {
+	if err := st.PutManifest(Manifest{}); !errors.Is(err, errFlaky) {
 		t.Fatalf("probe err = %v, want flaky", err)
 	}
 	if inner.calls != calls+1 {
 		t.Fatalf("probe calls = %d, want exactly one attempt (no backoff loop)", inner.calls-calls)
 	}
-	if h := rs.StoreHealth(); h.State != StoreStateOpen {
+	if h := rb.StoreHealth(); h.State != StoreStateOpen {
 		t.Fatalf("health after failed probe = %+v, want open again", h)
 	}
 }
 
-func TestRetryStoreOverFSStore(t *testing.T) {
+func TestRetryBlobOverFSBlob(t *testing.T) {
 	fs, err := OpenFSStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := NewRetryStore(fs, fastRetry(nil))
+	rb := NewRetryBlob(fs.Backend(), fastRetry(nil))
+	st := NewStore(rb)
 	data := []byte("artifact-bytes")
-	dig, err := rs.PutArtifact(data)
+	dig, err := st.PutArtifact(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rs.GetArtifact(dig)
+	got, err := st.GetArtifact(dig)
 	if err != nil || string(got) != string(data) {
 		t.Fatalf("round trip: %q, %v", got, err)
 	}
-	if _, err := rs.GetArtifact(Digest([]byte("missing"))); !errors.Is(err, ErrArtifactNotFound) {
+	if _, err := st.GetArtifact(Digest([]byte("missing"))); !errors.Is(err, ErrArtifactNotFound) {
 		t.Fatalf("missing artifact err = %v, want ErrArtifactNotFound (fast, no retries)", err)
 	}
-	if h := rs.StoreHealth(); h.State != StoreStateOK || h.Retries != 0 {
+	if h := rb.StoreHealth(); h.State != StoreStateOK || h.Retries != 0 {
 		t.Fatalf("health = %+v, want pristine ok", h)
 	}
 }
@@ -215,7 +205,7 @@ func TestRegistryStoreHealthDiscovery(t *testing.T) {
 		t.Fatal("bare filesystem store is not instrumented; want ok=false")
 	}
 	r2 := New()
-	r2.UseStore(NewRetryStore(fs, fastRetry(nil)))
+	r2.UseStore(NewStore(NewRetryBlob(fs.Backend(), fastRetry(nil))))
 	if h, ok := r2.StoreHealth(); !ok || h.State != StoreStateOK {
 		t.Fatalf("instrumented store health = %+v, %v; want ok state", h, ok)
 	}

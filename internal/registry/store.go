@@ -1,5 +1,5 @@
-// The durable artifact plane: a pluggable Store persists every trained
-// pipeline as a content-addressed artifact plus a manifest describing the
+// The durable artifact plane: a Store persists every trained pipeline
+// as a content-addressed artifact plus a manifest describing the
 // registry's state (models, digests, default, registered scenarios), so a
 // restarted explaind warm-starts serving the exact pipelines it was
 // serving when it died instead of retraining from scratch.
@@ -11,38 +11,191 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"nfvxai/internal/core"
 	"nfvxai/internal/wire"
 )
 
-// Store is the persistence backend of a registry. Artifacts are opaque
-// content-addressed blobs (the digest is the hex SHA-256 of the bytes);
-// the manifest is the small mutable index naming them. Implementations
-// must make PutManifest atomic — a reader never observes a torn manifest.
-// Experiments are persisted result matrices keyed by id.
-type Store interface {
-	// PutArtifact stores data and returns its content digest. Storing the
-	// same bytes twice is idempotent.
-	PutArtifact(data []byte) (digest string, err error)
-	// GetArtifact returns the artifact bytes for a digest, verifying
-	// content integrity: a missing artifact is ErrArtifactNotFound, a
-	// digest mismatch ErrCorruptArtifact.
-	GetArtifact(digest string) ([]byte, error)
-	// DeleteArtifact removes an artifact the manifest no longer
-	// references (retrain GC). Deleting a missing artifact is a no-op.
-	DeleteArtifact(digest string) error
-	// PutManifest atomically replaces the manifest.
-	PutManifest(m Manifest) error
-	// GetManifest loads the manifest; ok is false when none exists yet.
-	GetManifest() (m Manifest, ok bool, err error)
-	// PutExperiment persists one experiment result matrix (JSON) by id.
-	PutExperiment(id string, data []byte) error
-	// GetExperiment loads a persisted experiment result.
-	GetExperiment(id string) ([]byte, error)
-	// ListExperiments returns the persisted experiment ids, sorted.
-	ListExperiments() ([]string, error)
+// Blob key layout. Over an FSBlob each key is a path under the store
+// directory, so the layout is also the on-disk one.
+const (
+	blobArtifactPrefix   = "artifacts/"
+	blobManifestKey      = "manifest.json"
+	blobExperimentPrefix = "experiments/"
+)
+
+// Store is the persistence plane of a registry, laid over any
+// BlobBackend: artifacts at artifacts/<digest> (the digest is the hex
+// SHA-256 of the bytes), the manifest — the small mutable index naming
+// them — at manifest.json, and persisted experiment result matrices at
+// experiments/<id>.json. It verifies digests on read and maps backend
+// not-found onto the registry's sentinels, the same over every backend
+// (the conformance suite enforces it). Every method makes at most one
+// backend call, so retries, breaker state and fault injection live in
+// the backend stack (RetryBlob, ChaosBlob), not here.
+type Store struct {
+	b BlobBackend
+}
+
+// NewStore lays the registry's store over a blob backend.
+func NewStore(b BlobBackend) *Store { return &Store{b: b} }
+
+// NewMemStore returns a Store backed by a fresh in-memory bucket — the
+// shared store of an in-process cluster, and the in-memory counterpart
+// to OpenFSStore.
+func NewMemStore() *Store { return NewStore(NewMemBlob()) }
+
+// Backend exposes the underlying blob backend (so several in-process
+// registries can share one bucket, and the registry can find a RetryBlob
+// to report its health).
+func (s *Store) Backend() BlobBackend { return s.b }
+
+// PutArtifact stores data and returns its content digest. Storing the
+// same bytes twice is idempotent.
+func (s *Store) PutArtifact(data []byte) (string, error) {
+	digest := Digest(data)
+	if err := s.b.Put(blobArtifactPrefix+digest, data); err != nil {
+		return "", fmt.Errorf("registry: put artifact: %w", err)
+	}
+	return digest, nil
+}
+
+// GetArtifact returns the artifact bytes for a digest, verifying the
+// content digest so silent corruption in the backend surfaces as
+// ErrCorruptArtifact instead of a decode failure deeper in. A missing
+// artifact (or an invalid digest) is ErrArtifactNotFound.
+func (s *Store) GetArtifact(digest string) ([]byte, error) {
+	if !validDigest(digest) {
+		return nil, fmt.Errorf("%w: invalid digest %q", ErrArtifactNotFound, digest)
+	}
+	data, err := s.b.Get(blobArtifactPrefix + digest)
+	if err != nil {
+		if errors.Is(err, ErrBlobNotFound) {
+			return nil, fmt.Errorf("%w: %s", ErrArtifactNotFound, digest)
+		}
+		return nil, fmt.Errorf("registry: get artifact: %w", err)
+	}
+	if got := Digest(data); got != digest {
+		return nil, fmt.Errorf("%w: digest %s, content hashes to %s", ErrCorruptArtifact, digest, got)
+	}
+	return data, nil
+}
+
+// DeleteArtifact removes an artifact the manifest no longer references
+// (retrain GC). Deleting a missing artifact is a no-op.
+func (s *Store) DeleteArtifact(digest string) error {
+	if !validDigest(digest) {
+		return nil
+	}
+	if err := s.b.Delete(blobArtifactPrefix + digest); err != nil {
+		return fmt.Errorf("registry: delete artifact: %w", err)
+	}
+	return nil
+}
+
+// validDigest accepts hex SHA-256 strings only (also keeps digests safe
+// as file names).
+func validDigest(d string) bool {
+	if len(d) != 64 {
+		return false
+	}
+	for _, c := range d {
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// PutManifest atomically replaces the manifest — a reader never observes
+// a torn one. Atomicity is delegated to the backend's Put contract.
+func (s *Store) PutManifest(m Manifest) error {
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return fmt.Errorf("registry: put manifest: %w", err)
+	}
+	if err := s.b.Put(blobManifestKey, data); err != nil {
+		return fmt.Errorf("registry: put manifest: %w", err)
+	}
+	return nil
+}
+
+// GetManifest loads the manifest; ok is false when none exists yet.
+func (s *Store) GetManifest() (Manifest, bool, error) {
+	data, err := s.b.Get(blobManifestKey)
+	if err != nil {
+		if errors.Is(err, ErrBlobNotFound) {
+			return Manifest{}, false, nil
+		}
+		return Manifest{}, false, fmt.Errorf("registry: get manifest: %w", err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return Manifest{}, false, fmt.Errorf("%w: manifest: %w", ErrCorruptArtifact, err)
+	}
+	return m, true, nil
+}
+
+// validExperimentID keeps experiment ids usable as file names.
+func validExperimentID(id string) bool {
+	if id == "" || len(id) > 128 {
+		return false
+	}
+	for _, c := range id {
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return !strings.HasPrefix(id, ".")
+}
+
+// PutExperiment persists one experiment result matrix (JSON) by id.
+func (s *Store) PutExperiment(id string, data []byte) error {
+	if !validExperimentID(id) {
+		return fmt.Errorf("registry: put experiment: invalid id %q", id)
+	}
+	if err := s.b.Put(blobExperimentPrefix+id+".json", data); err != nil {
+		return fmt.Errorf("registry: put experiment: %w", err)
+	}
+	return nil
+}
+
+// GetExperiment loads a persisted experiment result; a missing one (or
+// an invalid id) is ErrArtifactNotFound.
+func (s *Store) GetExperiment(id string) ([]byte, error) {
+	if !validExperimentID(id) {
+		return nil, fmt.Errorf("%w: invalid experiment id %q", ErrArtifactNotFound, id)
+	}
+	data, err := s.b.Get(blobExperimentPrefix + id + ".json")
+	if err != nil {
+		if errors.Is(err, ErrBlobNotFound) {
+			return nil, fmt.Errorf("%w: experiment %s", ErrArtifactNotFound, id)
+		}
+		return nil, fmt.Errorf("registry: get experiment: %w", err)
+	}
+	return data, nil
+}
+
+// ListExperiments returns the persisted experiment ids, sorted.
+func (s *Store) ListExperiments() ([]string, error) {
+	keys, err := s.b.List(blobExperimentPrefix)
+	if err != nil {
+		return nil, fmt.Errorf("registry: list experiments: %w", err)
+	}
+	ids := make([]string, 0, len(keys))
+	for _, k := range keys {
+		name := strings.TrimPrefix(k, blobExperimentPrefix)
+		if strings.HasSuffix(name, ".json") && !strings.Contains(name, "/") {
+			ids = append(ids, strings.TrimSuffix(name, ".json"))
+		}
+	}
+	// Key order is not id order: "a-b.json" sorts before "a.json".
+	sort.Strings(ids)
+	return ids, nil
 }
 
 // ManifestVersion is the manifest schema version this build reads and

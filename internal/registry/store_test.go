@@ -167,7 +167,7 @@ func TestWarmStartSwapPersistsRetrainedPipeline(t *testing.T) {
 
 // corruptionFixture builds a filesystem store holding one model named
 // "good" and returns the store and its directory.
-func corruptionFixture(t *testing.T) (*BlobStore, string) {
+func corruptionFixture(t *testing.T) (*Store, string) {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := OpenFSStore(dir)

@@ -115,8 +115,9 @@ func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, name, acti
 		var err error
 		body, err = io.ReadAll(r.Body)
 		r.Body.Close()
-		if errors.As(err, new(*http.MaxBytesError)) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxArtifactBytes)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 			return true
 		}
 		if err != nil {

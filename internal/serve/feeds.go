@@ -249,7 +249,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, rec := range req.Records {
 		if err := f.Ingest(rec); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{
+			writeErrorBody(w, http.StatusBadRequest, map[string]any{
 				"error":    fmt.Sprintf("record %d: %v", i, err),
 				"accepted": i,
 			})

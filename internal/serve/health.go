@@ -4,7 +4,7 @@
 // state including degradation while a drift-triggered retrain is in
 // flight, admission pressure, retrain counts and last hot-swap times, and
 // the artifact store's fault-tolerance state (retry/breaker health when
-// the store is wrapped in a registry.RetryStore).
+// the store's backend is a registry.RetryBlob).
 package serve
 
 import (
@@ -60,8 +60,8 @@ type ReadyResponse struct {
 	Default string        `json:"default,omitempty"`
 	Models  []ModelHealth `json:"models"`
 	// Store is the artifact store's fault-tolerance state when the
-	// registry's store is instrumented (registry.RetryStore); absent for
-	// bare or missing stores.
+	// registry's store sits over a registry.RetryBlob; absent for bare or
+	// missing stores.
 	Store *registry.StoreHealth `json:"store,omitempty"`
 	// NodeID and Version identify the node and build behind a load
 	// balancer; Cluster is the fleet view when this node is clustered.

@@ -18,7 +18,7 @@ import (
 
 // storeServer builds a server over a store-backed registry holding the
 // shared test pipeline as "web/rf/util".
-func storeServer(t *testing.T, st registry.Store) (*Server, *httptest.Server) {
+func storeServer(t *testing.T, st *registry.Store) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := registry.New()
 	reg.OnStoreError = func(err error) { t.Errorf("store error: %v", err) }

@@ -37,7 +37,8 @@
 // e.g. web/rf/util). POST /v1/models returns 202 Accepted immediately; the
 // model trains in the background and flips training → ready (or failed),
 // observable via GET /v1/models/{name}. Serving a model that is still
-// training yields 409, an unknown model 404, a malformed request 400.
+// training yields 409, an unknown model 404, a malformed request 400,
+// and a reply JSON cannot carry (a non-finite prediction) 422.
 //
 // The legacy unversioned endpoints (GET /healthz /schema /importance,
 // POST /predict /explain /whatif) remain as thin aliases onto the
@@ -154,7 +155,7 @@ func NewServer(reg *registry.Registry) *Server {
 	// Artifact import: the explicit pattern wins over the {rest...}
 	// wildcard, and "import" is a reserved trailing segment, so no model
 	// route is shadowed.
-	s.mux.HandleFunc("POST /v1/models/import", s.handleImportModel)
+	s.mux.HandleFunc("POST "+importPath, s.handleImportModel)
 
 	// The explanation-jobs subsystem (jobs.go).
 	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
@@ -241,12 +242,16 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // supplied one — echoed on the response and kept on r.Header so a proxy
 // hop forwards the same id. X-Served-By names this node so multi-node
 // traces show which registry answered. No handler reads more than
-// MaxArtifactBytes of a request body: past that, reads fail with an
-// *http.MaxBytesError, which JSON handlers answer 400 and the import
-// and proxy paths 413.
+// MaxJSONBytes of a request body (MaxArtifactBytes on artifact import):
+// past that, reads fail with an *http.MaxBytesError, which JSON handlers
+// answer 400 and the import and proxy paths 413.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, MaxArtifactBytes)
+		limit := int64(MaxJSONBytes)
+		if r.Method == http.MethodPost && r.URL.Path == importPath {
+			limit = MaxArtifactBytes
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
 	rid := r.Header.Get(HeaderRequestID)
 	if rid == "" {
@@ -357,17 +362,28 @@ func (s *Server) lookup(w http.ResponseWriter, name string) (*core.Pipeline, boo
 	return nil, false
 }
 
+// writeJSON encodes v before it commits the status, so a reply JSON
+// cannot carry (a non-finite prediction or attribution) answers a JSON
+// 422 instead of the status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "reply is not representable as JSON: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	body := map[string]string{"error": fmt.Sprintf(format, args...)}
-	// The request id was echoed onto the response headers by ServeHTTP;
-	// repeating it in the body lets clients that only log bodies stitch
-	// multi-node traces together.
+	writeErrorBody(w, status, map[string]any{"error": fmt.Sprintf(format, args...)})
+}
+
+// writeErrorBody answers an error object. The request id was echoed onto
+// the response headers by ServeHTTP; repeating it in the body lets
+// clients that only log bodies stitch multi-node traces together.
+func writeErrorBody(w http.ResponseWriter, status int, body map[string]any) {
 	if rid := w.Header().Get(HeaderRequestID); rid != "" {
 		body["request_id"] = rid
 	}
@@ -462,10 +478,21 @@ func (s *Server) handleCreateModel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, modelInfo(e))
 }
 
-// MaxArtifactBytes bounds every request body, an imported model artifact
-// being the largest (64 MiB — an order of magnitude above the largest
-// zoo pipeline trained at MaxHours).
+// importPath is the artifact import route, the one route whose body is
+// not JSON.
+const importPath = "/v1/models/import"
+
+// MaxArtifactBytes bounds an imported model artifact's body (64 MiB —
+// an order of magnitude above the largest zoo pipeline trained at
+// MaxHours).
 const MaxArtifactBytes = 64 << 20
+
+// MaxJSONBytes bounds every other request body. The largest valid one is
+// a MaxIngestBatch-record ingest on a MaxScenarioGroups-group scenario:
+// 1.66 MB of compact JSON with 11-character group names (3.3 KB a
+// record), so 4 MiB leaves 2.5× headroom; a full MaxBatch explain on the
+// 26-feature web schema is 86 KB.
+const MaxJSONBytes = 4 << 20
 
 // handleExportModel serves the named ready model as a self-contained
 // binary artifact (spec + scaler + model + splits + background). The
@@ -496,8 +523,9 @@ func (s *Server) handleExportModel(w http.ResponseWriter, _ *http.Request, name 
 // 400; name collisions are 409.
 func (s *Server) handleImportModel(w http.ResponseWriter, r *http.Request) {
 	data, err := io.ReadAll(r.Body)
-	if errors.As(err, new(*http.MaxBytesError)) {
-		writeError(w, http.StatusRequestEntityTooLarge, "artifact exceeds %d bytes", MaxArtifactBytes)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "artifact exceeds %d bytes", tooLarge.Limit)
 		return
 	}
 	if err != nil {
@@ -553,7 +581,7 @@ type HealthResponse struct {
 	// keeps serving its old pipeline but reports "degraded" here.
 	States map[string]string `json:"states,omitempty"`
 	// Store summarizes the artifact store's fault-tolerance state when
-	// the store is instrumented (registry.RetryStore).
+	// the store sits over a registry.RetryBlob.
 	Store *registry.StoreHealth `json:"store,omitempty"`
 	// NodeID and Version identify the node and build behind a load
 	// balancer; Cluster is the fleet view when this node is clustered

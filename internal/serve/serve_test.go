@@ -16,6 +16,7 @@ import (
 	"nfvxai/internal/core"
 	"nfvxai/internal/nfv/telemetry"
 	"nfvxai/internal/registry"
+	"nfvxai/internal/xai"
 )
 
 var (
@@ -301,9 +302,10 @@ func (b *countingBody) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestRequestBodyBound: no handler reads more than MaxArtifactBytes of
-// a body. A JSON handler refuses the rest as a bad request, the import
-// endpoint as too large.
+// TestRequestBodyBound: no JSON handler reads more than MaxJSONBytes of
+// a body, and artifact import no more than MaxArtifactBytes. A JSON
+// handler refuses the rest as a bad request, the import endpoint as too
+// large; a valid JSON body of exactly MaxJSONBytes is served.
 func TestRequestBodyBound(t *testing.T) {
 	p := pipeline(t)
 	s := New(p)
@@ -312,23 +314,73 @@ func TestRequestBodyBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		path string
-		body *countingBody
-		want int
+		path  string
+		body  *countingBody
+		want  int
+		limit int64
 	}{
-		// Valid JSON: 65 MiB of whitespace, then the instance.
-		{"/v1/models/default/explain", &countingBody{pad: 65 << 20, fill: ' ', tail: valid}, http.StatusBadRequest},
-		{"/v1/models/import", &countingBody{pad: MaxArtifactBytes + 1}, http.StatusRequestEntityTooLarge},
+		// Valid JSON: whitespace, then the instance.
+		{"/v1/models/default/explain", &countingBody{pad: 65 << 20, fill: ' ', tail: valid}, http.StatusBadRequest, MaxJSONBytes},
+		{"/v1/models/default/explain", &countingBody{pad: MaxJSONBytes - int64(len(valid)), fill: ' ', tail: valid}, http.StatusOK, MaxJSONBytes},
+		{"/v1/models/import", &countingBody{pad: MaxArtifactBytes + 1}, http.StatusRequestEntityTooLarge, MaxArtifactBytes},
 	} {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, tc.body))
 		if rec.Code != tc.want {
-			t.Errorf("%s: status %d want %d (body %s)", tc.path, rec.Code, tc.want, rec.Body.Bytes())
+			t.Errorf("%s: status %d want %d (body %.200s)", tc.path, rec.Code, tc.want, rec.Body.Bytes())
 		}
-		if tc.body.read > MaxArtifactBytes+1 {
-			t.Errorf("%s: server read %d body bytes, limit %d", tc.path, tc.body.read, MaxArtifactBytes)
+		if tc.body.read > tc.limit+1 {
+			t.Errorf("%s: server read %d body bytes, limit %d", tc.path, tc.body.read, tc.limit)
 		}
-		debug.FreeOSMemory() // each case buffers ~64 MiB; keep the two from stacking
+		debug.FreeOSMemory() // the import case buffers ~64 MiB; keep cases from stacking
+	}
+}
+
+// TestNonFiniteReplyIs422: features at 1e308 drive a linear model's
+// prediction and attributions, and an MLP's attributions, past float64.
+// JSON cannot carry ±Inf or NaN, so each such reply — single and batch —
+// is a JSON 422 carrying the request id, never a 200 with an empty body.
+func TestNonFiniteReplyIs422(t *testing.T) {
+	ds, err := core.WebScenario().GenerateDataset(3, 1, telemetry.TargetBottleneckUtil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind    core.ModelKind
+		actions []string
+	}{
+		{core.ModelLinear, []string{"predict", "explain"}},
+		{core.ModelMLP, []string{"explain"}},
+	} {
+		p, err := core.NewPipeline(tc.kind, ds, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ShapSamples = 64
+		srv := httptest.NewServer(New(p))
+		x := make([]float64, p.Train.NumFeatures())
+		for i := range x {
+			x[i] = 1e308
+		}
+		for _, action := range tc.actions {
+			for shape, body := range map[string]any{
+				"single": map[string]any{"features": x},
+				"batch":  map[string]any{"instances": [][]float64{x, x}},
+			} {
+				resp := postJSON(t, srv, "/v1/models/default/"+action, body)
+				raw, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var got map[string]string
+				if resp.StatusCode != http.StatusUnprocessableEntity ||
+					resp.Header.Get("Content-Type") != "application/json" ||
+					json.Unmarshal(raw, &got) != nil || got["error"] == "" ||
+					got["request_id"] != resp.Header.Get(HeaderRequestID) {
+					t.Errorf("%v %s %s: status %d, body %q; want a JSON 422 carrying the request id",
+						tc.kind, shape, action, resp.StatusCode, raw)
+				}
+			}
+		}
+		srv.Close()
 	}
 }
 
@@ -444,6 +496,14 @@ func TestExplainMethodErrors(t *testing.T) {
 		map[string]any{"features": x, "method": "counterfactual", "params": map[string]any{"target_op": "=="}})
 	wantStatus(t, resp5, http.StatusBadRequest)
 	resp5.Body.Close()
+	// A sample budget over the cap is a 400 naming it, before any storage
+	// is sized to the request.
+	resp6 := postJSON(t, srv, "/v1/models/default/explain",
+		map[string]any{"features": x, "method": "kernelshap", "params": map[string]any{"samples": xai.MaxSamples + 1}})
+	wantStatus(t, resp6, http.StatusBadRequest)
+	if errBody := decode[map[string]string](t, resp6); !strings.Contains(errBody["error"], fmt.Sprint(xai.MaxSamples)) {
+		t.Fatalf("sample-budget error %q does not name the cap", errBody["error"])
+	}
 }
 
 // TestExplainParamsTopK: params.topk shapes the ranked output like the

@@ -176,8 +176,9 @@ func TestFeedLifecycleAndIngest(t *testing.T) {
 	resp = postJSON(t, srv, "/v1/feeds/live/records", IngestRequest{Records: []telemetry.Record{recs[1], badRec}})
 	wantStatus(t, resp, http.StatusBadRequest)
 	var ingestErr struct {
-		Error    string `json:"error"`
-		Accepted int    `json:"accepted"`
+		Error     string `json:"error"`
+		Accepted  int    `json:"accepted"`
+		RequestID string `json:"request_id"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&ingestErr); err != nil {
 		t.Fatal(err)
@@ -185,6 +186,9 @@ func TestFeedLifecycleAndIngest(t *testing.T) {
 	resp.Body.Close()
 	if ingestErr.Accepted != 1 || !strings.Contains(ingestErr.Error, "record 1") {
 		t.Fatalf("ingest error %+v", ingestErr)
+	}
+	if rid := resp.Header.Get(HeaderRequestID); rid == "" || ingestErr.RequestID != rid {
+		t.Fatalf("partial-accept body request_id %q, header %q", ingestErr.RequestID, rid)
 	}
 	resp = postJSON(t, srv, "/v1/feeds/live/records", IngestRequest{})
 	wantStatus(t, resp, http.StatusBadRequest)

@@ -150,6 +150,13 @@ var ErrUnsupportedModel = errors.New("method does not support this model")
 // HTTP 400 — a client-input error, not a server fault.
 var ErrInvalidOptions = errors.New("invalid method options")
 
+// MaxSamples caps the sampling work one explainer may be built for:
+// Options.Samples (KernelSHAP coalitions, LIME and anchors perturbations)
+// and Options.Steps (integrated-gradients path steps). KernelSHAP sizes
+// its coalition storage and weighted-least-squares design to Samples
+// rows, so an uncapped value lets one request ask for gigabytes.
+const MaxSamples = 1 << 16
+
 var (
 	regMu   sync.RWMutex
 	methods = map[string]Method{}
@@ -216,7 +223,8 @@ func MethodsFor(model ml.Predictor) []Method {
 // BuildExplainer resolves a method by name, validates it against the
 // target model, and constructs the explainer. Global methods are rejected
 // with ErrUnsupportedModel: they have no per-instance explainer and must
-// run through the jobs API.
+// run through the jobs API. Samples or Steps above MaxSamples are
+// ErrInvalidOptions.
 func BuildExplainer(name string, t Target, o Options) (Explainer, Method, error) {
 	m, ok := LookupMethod(name)
 	if !ok {
@@ -230,6 +238,9 @@ func BuildExplainer(name string, t Target, o Options) (Explainer, Method, error)
 	}
 	if m.Caps.NeedsBackground && len(t.Background) == 0 {
 		return nil, m, fmt.Errorf("%w: %q needs a background sample", ErrUnsupportedModel, name)
+	}
+	if o.Samples > MaxSamples || o.Steps > MaxSamples {
+		return nil, m, fmt.Errorf("%w: samples %d and steps %d must not exceed %d", ErrInvalidOptions, o.Samples, o.Steps, MaxSamples)
 	}
 	if n := o.BackgroundSize; n > 0 && n < len(t.Background) {
 		t.Background = t.Background[:n]

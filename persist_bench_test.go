@@ -40,13 +40,22 @@ func persistBenchHours() float64 {
 
 var (
 	persistStoreOnce sync.Once
-	persistStore     *registry.BlobStore
+	persistStore     *registry.Store
 	persistStoreDir  string
 )
 
+// TestMain removes the store directory persistSeedStore created, so a
+// benchmark run leaves nothing behind under $TMPDIR.
+func TestMain(m *testing.M) {
+	m.Run()
+	if persistStoreDir != "" {
+		os.RemoveAll(persistStoreDir)
+	}
+}
+
 // persistSeedStore trains the spec set once and persists it, the state a
 // warm start restores from.
-func persistSeedStore(b *testing.B) *registry.BlobStore {
+func persistSeedStore(b *testing.B) *registry.Store {
 	b.Helper()
 	persistStoreOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "nfvxai-bench-store-")
