@@ -163,7 +163,8 @@
 // staticcheck and govulncheck — and ./scripts/check.sh runs the same
 // wall locally plus the native fuzz targets that probe the
 // decode-safety contract with hostile bytes (FuzzDecodeModel,
-// FuzzReadWire, FuzzParseSpec). Goroutine hygiene is checked the same
+// FuzzReadWire, FuzzParseSpec) and the serving layer's error contract
+// with hostile requests (FuzzServeAPI). Goroutine hygiene is checked the same
 // way: the serving, feed and experiment test binaries fail if
 // goroutines outlive the tests (internal/testutil/leakcheck).
 // CONTRIBUTING.md catalogs the invariants and the narrow
@@ -196,7 +197,15 @@
 // injection) and feed.Fault (stalls, bursts) drive the internal/chaos
 // suite, which asserts — under -race, at a 20% store error rate — that
 // every response is a valid, possibly degraded or partial, result or a
-// typed 4xx/5xx, with no panics, leaks or wedged locks.
+// typed 4xx/5xx, with no panics, leaks or wedged locks. A status means
+// one thing on every route: internal/serve answers every error through
+// one error-to-status table (internal/serve/errors.go; an error no
+// entry types is the only 500) and reads every request body through one
+// reader, so a body over its cap is a 413 naming the cap wherever its
+// extra bytes sit and data after the JSON value is a 400. FuzzServeAPI
+// holds the table: under mutated methods, paths, bodies, budgets and
+// no_cache flags, every reply is one JSON value carrying X-Request-Id,
+// and none is a 500 or a 502.
 //
 // # The cluster plane
 //

@@ -11,7 +11,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -52,35 +51,6 @@ func (p *Pipeline) DigestIfComputed() (string, bool) {
 		return "", false
 	}
 	return p.digest, true
-}
-
-// cachedUnsupported answers a build request from the negative cache: a
-// non-nil return means (this artifact, method) is a recorded capability
-// mismatch and the registry build can be skipped. It consults
-// DigestIfComputed, never ContentDigest — the happy path must not pay a
-// serialization for a lookup that only ever hits after a failure (which
-// itself forces the digest via recordUnsupported).
-func (p *Pipeline) cachedUnsupported(method string) error {
-	if p.ResultCache == nil {
-		return nil
-	}
-	digest, ok := p.DigestIfComputed()
-	if !ok || !p.ResultCache.NegGet(digest, method) {
-		return nil
-	}
-	return fmt.Errorf("core: method %q for this artifact: %w", method, xai.ErrUnsupportedModel)
-}
-
-// recordUnsupported files a failed explainer build in the negative
-// cache when the failure is a capability mismatch — a verdict of the
-// frozen (artifact, method) pair, safe to replay forever. Unknown
-// methods are not recorded (the verdict is not artifact-specific), and
-// neither is anything transient.
-func (p *Pipeline) recordUnsupported(method string, err error) {
-	if p.ResultCache == nil || !errors.Is(err, xai.ErrUnsupportedModel) {
-		return
-	}
-	p.ResultCache.NegPut(p.ContentDigest(), method)
 }
 
 // cacheKeyFor builds the result-cache key for one normalized request,

@@ -162,16 +162,9 @@ func (p *Pipeline) Explainer() (xai.Explainer, string) {
 // xai.ErrUnknownMethod / xai.ErrUnsupportedModel.
 func (p *Pipeline) ExplainerFor(method string, opts xai.Options) (xai.Explainer, string, error) {
 	method, opts = p.NormalizeOptions(method, opts)
-	// A capability mismatch is a verdict on the frozen (artifact, method)
-	// pair; answer repeat offenders from the negative cache instead of
-	// re-running the registry build on every 409.
-	if err := p.cachedUnsupported(method); err != nil {
-		return nil, "", err
-	}
 	if p.DisableExplainerCache {
 		e, m, err := p.buildExplainer(method, opts)
 		if err != nil {
-			p.recordUnsupported(method, err)
 			return nil, "", err
 		}
 		return e, m.Name, nil
@@ -189,7 +182,6 @@ func (p *Pipeline) ExplainerFor(method string, opts xai.Options) (xai.Explainer,
 	}
 	e, m, err := p.buildExplainer(method, opts)
 	if err != nil {
-		p.recordUnsupported(method, err)
 		return nil, "", err
 	}
 	if len(p.explCache) >= explainerCacheSize {

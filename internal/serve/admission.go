@@ -11,6 +11,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -31,7 +32,7 @@ const (
 
 // errSaturated is the typed load-shed error: the model's concurrency
 // budget and wait queue are both full (or the wait timed out).
-var errSaturated = errors.New("serve: model at explain concurrency limit")
+var errSaturated = errors.New("explain capacity saturated")
 
 // admitState is one model's admission bookkeeping.
 type admitState struct {
@@ -77,9 +78,9 @@ func (a *admission) state(model string) *admitState {
 }
 
 // acquire admits one unit of model work, waiting in the bounded queue if
-// the model is at capacity. It returns a release func on success;
-// errSaturated when shed; the context error when the caller's request
-// died first.
+// the model is at capacity. It returns a release func on success, else
+// an error wrapping errSaturated when shed, or the context's error when
+// the caller's request died first.
 func (a *admission) acquire(ctx context.Context, model string) (func(), error) {
 	st := a.state(model)
 	release := func() {
@@ -93,8 +94,7 @@ func (a *admission) acquire(ctx context.Context, model string) (func(), error) {
 	default:
 	}
 	if int(st.waiting.Load()) >= a.queue {
-		st.markShed()
-		return nil, errSaturated
+		return nil, a.shed(st)
 	}
 	st.waiting.Add(1)
 	defer st.waiting.Add(-1)
@@ -105,16 +105,17 @@ func (a *admission) acquire(ctx context.Context, model string) (func(), error) {
 		st.inflight.Add(1)
 		return release, nil
 	case <-timer.C:
-		st.markShed()
-		return nil, errSaturated
+		return nil, a.shed(st)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, fmt.Errorf("request expired while queued: %w", ctx.Err())
 	}
 }
 
-func (st *admitState) markShed() {
+// shed counts one load-shed against st and returns its error.
+func (a *admission) shed(st *admitState) error {
 	st.shed.Add(1)
 	st.lastShed.Store(time.Now().UnixNano())
+	return fmt.Errorf("%w (%d in flight, %d queued); retry", errSaturated, a.capacity, a.queue)
 }
 
 // shedding reports whether the model shed load within shedWindow — the
@@ -149,30 +150,17 @@ func (s *Server) ensureAdmit() *admission {
 	return s.adm
 }
 
-// admitRequest runs admission for one request, writing the shed (503 +
-// Retry-After) or expiry response itself. The returned release must be
-// called when the admitted work finishes.
+// admitRequest runs admission for one request, writing the refusal
+// itself: the shed's 503, or the 504 of a request whose deadline expired
+// while it queued, each with Retry-After set to the queue's patience.
+// The returned release must be called when the admitted work finishes.
 func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request, model string) (func(), bool) {
 	adm := s.ensureAdmit()
 	release, err := adm.acquire(r.Context(), model)
-	if err == nil {
-		return release, true
-	}
-	if errors.Is(err, errSaturated) {
-		retry := int(adm.wait / time.Second)
-		if retry < 1 {
-			retry = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusServiceUnavailable, "model %q: explain capacity saturated (%d in flight, %d queued); retry", model, adm.capacity, adm.queue)
+	if err != nil {
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(adm.wait/time.Second))))
+		writeErr(w, fmt.Errorf("model %q: %w", model, err))
 		return nil, false
 	}
-	// The request's own context died while queued: the client is gone or
-	// its budget burned out before any work started.
-	if errors.Is(err, context.DeadlineExceeded) {
-		writeError(w, http.StatusGatewayTimeout, "model %q: request expired while queued: %v", model, err)
-		return nil, false
-	}
-	writeError(w, http.StatusServiceUnavailable, "model %q: %v", model, err)
-	return nil, false
+	return release, true
 }

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -110,20 +109,10 @@ func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, name, acti
 
 	// Buffer the body so it can be replayed into the local handler if
 	// the hop fails at the transport level.
-	var body []byte
-	if r.Body != nil {
-		var err error
-		body, err = io.ReadAll(r.Body)
-		r.Body.Close()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return true
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read request body: %v", err)
-			return true
-		}
+	body, err := readBody(r)
+	if err != nil {
+		writeErr(w, err)
+		return true
 	}
 
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, target.URL+r.URL.RequestURI(), bytes.NewReader(body))

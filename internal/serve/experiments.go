@@ -10,14 +10,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 
 	"nfvxai/internal/core"
 	"nfvxai/internal/experiment"
-	"nfvxai/internal/registry"
 )
 
 // JobExperiment is the job kind experiments run under. It is submitted
@@ -48,8 +46,8 @@ type ExperimentListResponse struct {
 
 func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) {
 	var sp experiment.Spec
-	if err := decodeStrictBody(r, &sp); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := readJSON(r, &sp, true); err != nil {
+		writeErr(w, err)
 		return
 	}
 	sp = sp.WithDefaults()
@@ -62,7 +60,7 @@ func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) 
 	idCh := make(chan string, 1)
 	snap, err := s.jobs.submit("", JobExperiment, JobParams{}, nil, s.experimentRunner(sp, idCh))
 	if err != nil {
-		writeSubmitError(w, err)
+		writeErr(w, err)
 		return
 	}
 	idCh <- snap.ID
@@ -144,28 +142,18 @@ func (s *Server) handleGetExperiment(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if st := s.reg.StoreBackend(); st != nil {
-		data, err := st.GetExperiment(id)
-		if err == nil {
-			writeJSON(w, http.StatusOK, ExperimentInfo{
-				ID: id, Status: "done", Progress: 1, Persisted: true, Result: json.RawMessage(data),
-			})
-			return
-		}
-		if !errors.Is(err, registry.ErrArtifactNotFound) {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
+	st := s.reg.StoreBackend()
+	if st == nil {
+		writeError(w, http.StatusNotFound, "experiment %q not found", id)
+		return
 	}
-	writeError(w, http.StatusNotFound, "experiment %q not found", id)
-}
-
-// decodeStrictBody decodes a JSON request body rejecting unknown fields.
-func decodeStrictBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON: %w", err)
+	// A matrix missing from the store is a 404; an unreachable store a 503.
+	data, err := st.GetExperiment(id)
+	if err != nil {
+		writeErr(w, err)
+		return
 	}
-	return nil
+	writeJSON(w, http.StatusOK, ExperimentInfo{
+		ID: id, Status: "done", Progress: 1, Persisted: true, Result: json.RawMessage(data),
+	})
 }

@@ -9,8 +9,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -58,19 +56,14 @@ func (s *Server) handleListScenarios(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreateScenario(w http.ResponseWriter, r *http.Request) {
 	var sp core.ScenarioSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields() // a misspelled spec field is a client error
-	if err := dec.Decode(&sp); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	// A misspelled spec field is a client error.
+	if err := readJSON(r, &sp, true); err != nil {
+		writeErr(w, err)
 		return
 	}
 	norm, err := s.reg.Scenarios.Register(sp)
 	if err != nil {
-		if errors.Is(err, core.ErrScenarioExists) {
-			writeError(w, http.StatusConflict, "%v", err)
-		} else {
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		writeErr(w, badRequest{err})
 		return
 	}
 	// Registered scenarios must survive restart: rewrite the manifest now
@@ -156,13 +149,13 @@ func (s *Server) handleListFeeds(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreateFeed(w http.ResponseWriter, r *http.Request) {
 	var req FeedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if err := readJSON(r, &req, false); err != nil {
+		writeErr(w, err)
 		return
 	}
 	sp, err := s.reg.Scenarios.Lookup(req.Scenario)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, badRequest{err})
 		return
 	}
 	opts := feed.Options{Simulate: true, Seed: req.Seed, Rate: req.Rate, Buffer: req.Buffer, Fault: req.Fault}
@@ -171,14 +164,7 @@ func (s *Server) handleCreateFeed(w http.ResponseWriter, r *http.Request) {
 	}
 	f, err := s.hub.Open(req.Name, sp, opts)
 	if err != nil {
-		switch {
-		case errors.Is(err, feed.ErrFeedExists):
-			writeError(w, http.StatusConflict, "%v", err)
-		case errors.Is(err, feed.ErrTooManyFeeds):
-			writeError(w, http.StatusTooManyRequests, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		writeErr(w, badRequest{err})
 		return
 	}
 	writeJSON(w, http.StatusCreated, s.feedInfo(f))
@@ -187,7 +173,7 @@ func (s *Server) handleCreateFeed(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetFeed(w http.ResponseWriter, r *http.Request) {
 	f, err := s.hub.Get(r.PathValue("name"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.feedInfo(f))
@@ -196,7 +182,7 @@ func (s *Server) handleGetFeed(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteFeed(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.hub.Close(name); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	// Closing the feed closed the monitors' subscriptions; Stop just
@@ -231,12 +217,12 @@ type IngestResponse struct {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	f, err := s.hub.Get(r.PathValue("name"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if err := readJSON(r, &req, false); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if len(req.Records) == 0 {
@@ -249,10 +235,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, rec := range req.Records {
 		if err := f.Ingest(rec); err != nil {
-			writeErrorBody(w, http.StatusBadRequest, map[string]any{
-				"error":    fmt.Sprintf("record %d: %v", i, err),
-				"accepted": i,
-			})
+			err = badRequest{fmt.Errorf("record %d: %w", i, err)}
+			writeErrorBody(w, statusOf(err), map[string]any{"error": err.Error(), "accepted": i})
 			return
 		}
 	}
@@ -358,12 +342,12 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	feedName := r.PathValue("name")
 	f, err := s.hub.Get(feedName)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	var req AttachRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if err := readJSON(r, &req, false); err != nil {
+		writeErr(w, err)
 		return
 	}
 	p, ok := s.lookup(w, req.Model)
@@ -372,7 +356,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, err := s.reg.Get(req.Model)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	if entry.Spec.Target == "" {
@@ -436,7 +420,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		s.attachMu.Unlock()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeErr(w, badRequest{err})
 		return
 	}
 	att.mon = mon

@@ -143,19 +143,14 @@ const maxStoredJobs = 4096
 // batch amortizes the full-table scan across many submissions.
 const evictBatch = 64
 
-// errShuttingDown reports a submission racing shutdown; handlers map it
-// to 503 (fail over to another instance), distinct from the 429 a full
-// job table earns (back off and retry here).
+// errShuttingDown reports a submission racing shutdown: a 503 (fail over
+// to another instance), distinct from the 429 errJobTableFull earns
+// (back off and retry here).
 var errShuttingDown = errors.New("server is shutting down")
 
-// writeSubmitError maps jobStore.submit failures to HTTP.
-func writeSubmitError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errShuttingDown) {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	writeError(w, http.StatusTooManyRequests, "%v", err)
-}
+// errJobTableFull reports a submission against a table of maxStoredJobs
+// unfinished jobs.
+var errJobTableFull = errors.New("job table full")
 
 // jobStore is the concurrent-safe job table.
 type jobStore struct {
@@ -281,8 +276,8 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request, name st
 		return
 	}
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if err := readJSON(r, &req, false); err != nil {
+		writeErr(w, err)
 		return
 	}
 	var jp JobParams
@@ -314,7 +309,7 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request, name st
 			// the in-flight slot the CAS just claimed; release it here or
 			// no retrain could ever run again.
 			att.retraining.Store(false)
-			writeSubmitError(w, err)
+			writeErr(w, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, snap)
@@ -323,14 +318,15 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request, name st
 
 	snap, err := s.jobs.submit(name, req.Kind, jp, p, run)
 	if err != nil {
-		writeSubmitError(w, err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, snap)
 }
 
 // submit registers and starts one job, returning its initial snapshot.
-// It fails only when the table is full of unfinished jobs.
+// It fails only when the table is full of unfinished jobs or the store
+// is closed for shutdown.
 func (st *jobStore) submit(model, kind string, jp JobParams, p *core.Pipeline, run jobRunner) (JobInfo, error) {
 	st.mu.Lock()
 	if st.closed {
@@ -342,7 +338,7 @@ func (st *jobStore) submit(model, kind string, jp JobParams, p *core.Pipeline, r
 	}
 	if len(st.jobs) >= maxStoredJobs {
 		st.mu.Unlock()
-		return JobInfo{}, fmt.Errorf("job table full (%d active jobs)", maxStoredJobs)
+		return JobInfo{}, fmt.Errorf("%w (%d active jobs)", errJobTableFull, maxStoredJobs)
 	}
 	st.seq++
 	ctx, cancel := context.WithCancel(context.Background())
@@ -462,7 +458,7 @@ func (s *Server) handleListModelJobs(w http.ResponseWriter, _ *http.Request, nam
 	// The model must exist (404 otherwise); training/failed models can
 	// still list their (necessarily empty) job history.
 	if _, err := s.reg.Get(name); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, JobListResponse{Jobs: s.jobs.list(name)})

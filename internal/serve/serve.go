@@ -37,8 +37,10 @@
 // e.g. web/rf/util). POST /v1/models returns 202 Accepted immediately; the
 // model trains in the background and flips training → ready (or failed),
 // observable via GET /v1/models/{name}. Serving a model that is still
-// training yields 409, an unknown model 404, a malformed request 400,
-// and a reply JSON cannot carry (a non-finite prediction) 422.
+// training yields 409, an unknown model 404, a malformed request 400, a
+// body over its cap 413, and a reply JSON cannot carry (a non-finite
+// prediction) 422. One table maps every typed error to its status
+// (errors.go), so a status means the same on every route.
 //
 // The legacy unversioned endpoints (GET /healthz /schema /importance,
 // POST /predict /explain /whatif) remain as thin aliases onto the
@@ -51,7 +53,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -243,15 +244,11 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // hop forwards the same id. X-Served-By names this node so multi-node
 // traces show which registry answered. No handler reads more than
 // MaxJSONBytes of a request body (MaxArtifactBytes on artifact import):
-// past that, reads fail with an *http.MaxBytesError, which JSON handlers
-// answer 400 and the import and proxy paths 413.
+// past that, reads fail with an *http.MaxBytesError, which every route
+// answers 413 (errors.go).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
-		limit := int64(MaxJSONBytes)
-		if r.Method == http.MethodPost && r.URL.Path == importPath {
-			limit = MaxArtifactBytes
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
+		r.Body = http.MaxBytesReader(w, r.Body, bodyLimit(r))
 	}
 	rid := r.Header.Get(HeaderRequestID)
 	if rid == "" {
@@ -345,21 +342,15 @@ func (s *Server) defaultModel(w http.ResponseWriter) (string, bool) {
 	return name, true
 }
 
-// lookup resolves name to a servable pipeline, mapping registry errors to
-// HTTP: unknown → 404, training/failed → 409.
+// lookup resolves name to a servable pipeline, answering the registry's
+// error (unknown → 404, training/failed → 409) when it cannot.
 func (s *Server) lookup(w http.ResponseWriter, name string) (*core.Pipeline, bool) {
 	p, err := s.reg.Lookup(name)
-	switch {
-	case err == nil:
-		return p, true
-	case errors.Is(err, registry.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, registry.ErrNotReady):
-		writeError(w, http.StatusConflict, "%v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	if err != nil {
+		writeErr(w, err)
+		return nil, false
 	}
-	return nil, false
+	return p, true
 }
 
 // writeJSON encodes v before it commits the status, so a reply JSON
@@ -374,20 +365,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeErrorBody(w, status, map[string]any{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeErrorBody answers an error object. The request id was echoed onto
-// the response headers by ServeHTTP; repeating it in the body lets
-// clients that only log bodies stitch multi-node traces together.
-func writeErrorBody(w http.ResponseWriter, status int, body map[string]any) {
-	if rid := w.Header().Get(HeaderRequestID); rid != "" {
-		body["request_id"] = rid
-	}
-	writeJSON(w, status, body)
 }
 
 // featureName is the one shared feature-index → display-name resolution
@@ -462,17 +439,13 @@ func (s *Server) handleListModels(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreateModel(w http.ResponseWriter, r *http.Request) {
 	var sp registry.Spec
-	if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if err := readJSON(r, &sp, false); err != nil {
+		writeErr(w, err)
 		return
 	}
 	e, err := s.reg.Create(sp)
 	if err != nil {
-		if errors.Is(err, registry.ErrExists) {
-			writeError(w, http.StatusConflict, "%v", err)
-		} else {
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		writeErr(w, badRequest{err})
 		return
 	}
 	writeJSON(w, http.StatusAccepted, modelInfo(e))
@@ -499,16 +472,8 @@ const MaxJSONBytes = 4 << 20
 // bytes round-trip through POST /v1/models/import on any explaind.
 func (s *Server) handleExportModel(w http.ResponseWriter, _ *http.Request, name string) {
 	data, err := s.reg.ExportArtifact(name)
-	switch {
-	case err == nil:
-	case errors.Is(err, registry.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	case errors.Is(err, registry.ErrNotReady):
-		writeError(w, http.StatusConflict, "%v", err)
-		return
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -522,32 +487,19 @@ func (s *Server) handleExportModel(w http.ResponseWriter, _ *http.Request, name 
 // embedded in the artifact's spec. Corrupt artifacts are the client's
 // 400; name collisions are 409.
 func (s *Server) handleImportModel(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(r.Body)
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, "artifact exceeds %d bytes", tooLarge.Limit)
-		return
-	}
+	data, err := readBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading artifact: %v", err)
+		writeErr(w, err)
 		return
 	}
 	name, err := s.reg.ImportArtifact(data, r.URL.Query().Get("name"), time.Now())
-	switch {
-	case err == nil:
-	case errors.Is(err, registry.ErrExists):
-		writeError(w, http.StatusConflict, "%v", err)
-		return
-	case errors.Is(err, registry.ErrCorruptArtifact), errors.Is(err, registry.ErrArtifactVersion):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err != nil {
+		writeErr(w, badRequest{err})
 		return
 	}
 	e, err := s.reg.Get(name)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, modelInfo(e))
@@ -556,7 +508,7 @@ func (s *Server) handleImportModel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModelInfo(w http.ResponseWriter, _ *http.Request, name string) {
 	e, err := s.reg.Get(name)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, modelInfo(e))
@@ -710,9 +662,7 @@ func decodeStrict(raw json.RawMessage, v any) error {
 	if len(raw) == 0 {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeJSON(raw, v, true); err != nil {
 		return fmt.Errorf("invalid params: %w", err)
 	}
 	return nil
@@ -720,8 +670,8 @@ func decodeStrict(raw json.RawMessage, v any) error {
 
 func decodeFeatures(w http.ResponseWriter, r *http.Request, p *core.Pipeline) (featureRequest, bool) {
 	var req featureRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if err := readJSON(r, &req, false); err != nil {
+		writeErr(w, err)
 		return req, false
 	}
 	want := p.Train.NumFeatures()
@@ -936,22 +886,6 @@ func decorateAnytime(a *AnytimeInfo, plan *xai.Plan, budget time.Duration) *Anyt
 	return a
 }
 
-// writeExplainerError maps method-resolution failures to HTTP: unknown
-// method names and bad params are the client's 400; capability mismatches
-// (treeshap on an MLP, a global method on the explain path) are a 409.
-func writeExplainerError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, xai.ErrUnknownMethod):
-		writeError(w, http.StatusBadRequest, "%v (registered: %s)", err, strings.Join(xai.MethodNames(), ", "))
-	case errors.Is(err, xai.ErrInvalidOptions):
-		writeError(w, http.StatusBadRequest, "%v", err)
-	case errors.Is(err, xai.ErrUnsupportedModel):
-		writeError(w, http.StatusConflict, "%v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, "explain: %v", err)
-	}
-}
-
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name string) {
 	p, ok := s.lookup(w, name)
 	if !ok {
@@ -1018,7 +952,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name stri
 	}
 	e, method, err := p.ExplainerFor(method, opts)
 	if err != nil {
-		writeExplainerError(w, err)
+		writeErr(w, err)
 		return
 	}
 	if req.Instances != nil {
@@ -1048,15 +982,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name stri
 				}
 			}
 		}
-		if nOK == 0 && firstErr != nil {
-			// Nothing to return: a budget that expired before any instance
-			// finished is a typed timeout, anything else a plain failure.
-			writeExplainFailure(w, firstErr, budget)
-			return
-		}
-		if budget == 0 && firstErr != nil {
-			// Unbudgeted batches keep the legacy all-or-nothing contract.
-			writeError(w, http.StatusInternalServerError, "explain: %v", firstErr)
+		if firstErr != nil && (nOK == 0 || budget == 0) {
+			// Nothing to return (a budget that expired before any instance
+			// finished is a typed timeout), or an unbudgeted batch, which
+			// keeps the legacy all-or-nothing contract.
+			writeErr(w, workErr("explain", budget, firstErr))
 			return
 		}
 		// Per-instance evaluation is model work too (a deletion sweep per
@@ -1100,7 +1030,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name stri
 	}
 	attr, outcome, err := p.ExplainWith(ctx, e, method, opts, req.Features, req.NoCache)
 	if err != nil {
-		writeExplainFailure(w, err, budget)
+		writeErr(w, workErr("explain", budget, err))
 		return
 	}
 	setCacheHeader(w, p, outcome.String())
@@ -1109,19 +1039,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, name stri
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// writeExplainFailure maps an explain-path error to HTTP: an expired
-// latency budget with no result in hand is a typed 504 (the client can
-// retry with a larger budget), everything else the legacy 500.
-func writeExplainFailure(w http.ResponseWriter, err error, budget time.Duration) {
-	if errors.Is(err, context.DeadlineExceeded) {
-		if budget > 0 {
-			writeError(w, http.StatusGatewayTimeout, "explain: latency budget of %s exhausted before any result: %v", budget, err)
-		} else {
-			writeError(w, http.StatusGatewayTimeout, "explain: deadline exceeded: %v", err)
-		}
-		return
+// workErr prefixes a failed model-work request's error with its route
+// and, when it ran under one, its latency budget. An expired budget with
+// no result in hand is the table's typed 504 (the client can retry with
+// a larger budget).
+func workErr(route string, budget time.Duration, err error) error {
+	if budget > 0 {
+		return fmt.Errorf("%s: latency budget of %s: %w", route, budget, err)
 	}
-	writeError(w, http.StatusInternalServerError, "explain: %v", err)
+	return fmt.Errorf("%s: %w", route, err)
 }
 
 // explainErrorLabel renders one failed batch instance's error, typing
@@ -1209,8 +1135,8 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, name strin
 		return
 	}
 	var req WhatIfRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if err := readJSON(r, &req, false); err != nil {
+		writeErr(w, err)
 		return
 	}
 	if want := p.Train.NumFeatures(); len(req.Features) != want {
@@ -1240,14 +1166,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, name strin
 	target := counterfactual.Target{Op: req.Op, Value: req.Value}
 	cf, err := p.WhatIf(ctx, req.Features, target, req.Immutable)
 	if err != nil {
-		switch {
-		case errors.Is(err, core.ErrUnknownFeature):
-			writeError(w, http.StatusBadRequest, "%v", err)
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, "whatif: latency budget exhausted: %v", err)
-		default:
-			writeError(w, http.StatusInternalServerError, "whatif: %v", err)
-		}
+		writeErr(w, workErr("whatif", budget, err))
 		return
 	}
 	resp := WhatIfResponse{
@@ -1303,11 +1222,7 @@ func (s *Server) handleImportance(w http.ResponseWriter, r *http.Request, name s
 	}
 	shapImp, permImp, err := p.GlobalImportance(ctx, importanceInstances)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, "importance: latency budget exhausted: %v", err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "importance: %v", err)
+		writeErr(w, workErr("importance", budget, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, ImportanceResponse{

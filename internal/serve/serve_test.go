@@ -303,9 +303,9 @@ func (b *countingBody) Read(p []byte) (int, error) {
 }
 
 // TestRequestBodyBound: no JSON handler reads more than MaxJSONBytes of
-// a body, and artifact import no more than MaxArtifactBytes. A JSON
-// handler refuses the rest as a bad request, the import endpoint as too
-// large; a valid JSON body of exactly MaxJSONBytes is served.
+// a body, and artifact import no more than MaxArtifactBytes. Every route
+// refuses the rest as too large; a valid JSON body of exactly
+// MaxJSONBytes is served.
 func TestRequestBodyBound(t *testing.T) {
 	p := pipeline(t)
 	s := New(p)
@@ -320,7 +320,7 @@ func TestRequestBodyBound(t *testing.T) {
 		limit int64
 	}{
 		// Valid JSON: whitespace, then the instance.
-		{"/v1/models/default/explain", &countingBody{pad: 65 << 20, fill: ' ', tail: valid}, http.StatusBadRequest, MaxJSONBytes},
+		{"/v1/models/default/explain", &countingBody{pad: 65 << 20, fill: ' ', tail: valid}, http.StatusRequestEntityTooLarge, MaxJSONBytes},
 		{"/v1/models/default/explain", &countingBody{pad: MaxJSONBytes - int64(len(valid)), fill: ' ', tail: valid}, http.StatusOK, MaxJSONBytes},
 		{"/v1/models/import", &countingBody{pad: MaxArtifactBytes + 1}, http.StatusRequestEntityTooLarge, MaxArtifactBytes},
 	} {
@@ -504,6 +504,11 @@ func TestExplainMethodErrors(t *testing.T) {
 	if errBody := decode[map[string]string](t, resp6); !strings.Contains(errBody["error"], fmt.Sprint(xai.MaxSamples)) {
 		t.Fatalf("sample-budget error %q does not name the cap", errBody["error"])
 	}
+	// A background too small for the anchor search is a 400, not a 500.
+	resp7 := postJSON(t, srv, "/v1/models/default/explain",
+		map[string]any{"features": x, "method": "anchors", "params": map[string]any{"background_size": 2}})
+	wantStatus(t, resp7, http.StatusBadRequest)
+	resp7.Body.Close()
 }
 
 // TestExplainParamsTopK: params.topk shapes the ranked output like the

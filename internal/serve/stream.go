@@ -9,6 +9,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -82,7 +83,7 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request, name 
 	}
 	f, err := s.hub.Get(feedName)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	if err := schemaMatches(p.Train.Names, f.Spec()); err != nil {
@@ -115,7 +116,7 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request, name 
 	}
 	e, method, err := p.ExplainerFor(r.URL.Query().Get("method"), xai.Options{})
 	if err != nil {
-		writeExplainerError(w, err)
+		writeErr(w, err)
 		return
 	}
 	// Methods without the batch capability share one explainer instance
@@ -125,12 +126,12 @@ func (s *Server) handleModelStream(w http.ResponseWriter, r *http.Request, name 
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by transport")
+		writeErr(w, errors.New("streaming unsupported by transport"))
 		return
 	}
 	sub, cancelSub, err := f.Subscribe()
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		writeErr(w, err)
 		return
 	}
 	defer cancelSub()

@@ -161,6 +161,10 @@ func Explain(ctx context.Context, model ml.Predictor, x []float64, background []
 	return ExplainVerdict(ctx, model, x, background, cfg, func(p float64) bool { return p >= 0.5 })
 }
 
+// minBackground is the fewest background rows the anchor search samples
+// perturbations from; a smaller background_size is ErrInvalidOptions.
+const minBackground = 4
+
 // ExplainVerdict finds an anchor under a custom verdict function mapping
 // the model output to a class. Cancellation is checked once per candidate
 // precision estimate, the unit of Monte Carlo work.
@@ -168,8 +172,8 @@ func ExplainVerdict(ctx context.Context, model ml.Predictor, x []float64, backgr
 	if len(x) == 0 {
 		return Anchor{}, errors.New("anchors: empty input")
 	}
-	if len(background) < 4 {
-		return Anchor{}, errors.New("anchors: background too small")
+	if len(background) < minBackground {
+		return Anchor{}, fmt.Errorf("%w: anchors needs at least %d background rows, got %d", xai.ErrInvalidOptions, minBackground, len(background))
 	}
 	threshold := cfg.Threshold
 	if threshold <= 0 || threshold > 1 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"nfvxai/internal/ml"
@@ -221,14 +222,15 @@ func MethodsFor(model ml.Predictor) []Method {
 }
 
 // BuildExplainer resolves a method by name, validates it against the
-// target model, and constructs the explainer. Global methods are rejected
-// with ErrUnsupportedModel: they have no per-instance explainer and must
-// run through the jobs API. Samples or Steps above MaxSamples are
-// ErrInvalidOptions.
+// target model, and constructs the explainer. An unknown name is
+// ErrUnknownMethod, listing the registered names. Global methods are
+// rejected with ErrUnsupportedModel: they have no per-instance explainer
+// and must run through the jobs API. Samples or Steps above MaxSamples
+// are ErrInvalidOptions.
 func BuildExplainer(name string, t Target, o Options) (Explainer, Method, error) {
 	m, ok := LookupMethod(name)
 	if !ok {
-		return nil, Method{}, fmt.Errorf("%w: %q", ErrUnknownMethod, name)
+		return nil, Method{}, fmt.Errorf("%w: %q (registered: %s)", ErrUnknownMethod, name, strings.Join(MethodNames(), ", "))
 	}
 	if m.Kind != KindLocal || m.Build == nil {
 		return nil, m, fmt.Errorf("%w: %q is a global method; submit it as a job", ErrUnsupportedModel, name)

@@ -23,7 +23,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,15 +121,6 @@ type Cache struct {
 
 	digMu sync.Mutex
 	dig   map[string]*digestCounters
-
-	// Negative cache: (digest, method) pairs known to be unbuildable —
-	// capability mismatches between a model and an explanation method.
-	// The verdict is a property of the frozen artifact, so it never goes
-	// stale; entries leave only with their digest (DropDigest). Tiny
-	// (methods × artifacts), so no byte accounting.
-	negMu   sync.Mutex
-	neg     map[string]struct{}
-	negHits atomic.Int64
 }
 
 type shard struct {
@@ -168,7 +158,6 @@ func New(cfg Config) *Cache {
 		tier2:    cfg.Tier2,
 		flight:   make(map[string]*call),
 		dig:      make(map[string]*digestCounters),
-		neg:      make(map[string]struct{}),
 	}
 	for i := range c.shards {
 		c.shards[i].items = make(map[string]*list.Element)
@@ -298,33 +287,6 @@ func (c *Cache) entryGone(e *entry, evicted bool) {
 	}
 }
 
-// negKey is the negative-cache key for one (digest, method) verdict.
-// Digests are hex and method names never contain NUL, so the join is
-// injective.
-func negKey(digest, method string) string { return digest + "\x00" + method }
-
-// NegPut records that method cannot be built for the artifact identified
-// by digest (a capability mismatch). The serving layer's 409 path calls
-// this once so every later request for the same pair answers from the
-// verdict instead of re-running the registry build.
-func (c *Cache) NegPut(digest, method string) {
-	c.negMu.Lock()
-	c.neg[negKey(digest, method)] = struct{}{}
-	c.negMu.Unlock()
-}
-
-// NegGet reports whether (digest, method) is a recorded-unsupported
-// pair. A true return counts as a negative hit in Stats.
-func (c *Cache) NegGet(digest, method string) bool {
-	c.negMu.Lock()
-	_, ok := c.neg[negKey(digest, method)]
-	c.negMu.Unlock()
-	if ok {
-		c.negHits.Add(1)
-	}
-	return ok
-}
-
 // DropDigest removes every tier-1 entry keyed by digest and returns how
 // many were dropped. Called after a hot-swap retires an artifact: the
 // old digest can never be requested again (keys embed the digest), so
@@ -352,14 +314,6 @@ func (c *Cache) DropDigest(digest string) int {
 	c.digMu.Lock()
 	delete(c.dig, digest)
 	c.digMu.Unlock()
-	prefix := digest + "\x00"
-	c.negMu.Lock()
-	for k := range c.neg {
-		if strings.HasPrefix(k, prefix) {
-			delete(c.neg, k)
-		}
-	}
-	c.negMu.Unlock()
 	return len(dropped)
 }
 
@@ -372,8 +326,6 @@ type Stats struct {
 	Expired    int64 `json:"expired"`
 	Entries    int64 `json:"entries"`
 	Bytes      int64 `json:"bytes"`
-	NegHits    int64 `json:"neg_hits,omitempty"`
-	NegEntries int64 `json:"neg_entries,omitempty"`
 	Tier2Hits  int64 `json:"tier2_hits,omitempty"`
 	Tier2Puts  int64 `json:"tier2_puts,omitempty"`
 	Tier2Errs  int64 `json:"tier2_errors,omitempty"`
@@ -395,9 +347,6 @@ type DigestStats struct {
 
 // Stats snapshots the global counters.
 func (c *Cache) Stats() Stats {
-	c.negMu.Lock()
-	negEntries := int64(len(c.neg))
-	c.negMu.Unlock()
 	return Stats{
 		Hits:       c.hits.Load(),
 		Misses:     c.misses.Load(),
@@ -406,8 +355,6 @@ func (c *Cache) Stats() Stats {
 		Expired:    c.expired.Load(),
 		Entries:    c.entries.Load(),
 		Bytes:      c.bytes.Load(),
-		NegHits:    c.negHits.Load(),
-		NegEntries: negEntries,
 		Tier2Hits:  c.t2hits.Load(),
 		Tier2Puts:  c.t2puts.Load(),
 		Tier2Errs:  c.t2errors.Load(),

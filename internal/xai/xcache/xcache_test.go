@@ -351,42 +351,3 @@ func TestEncodeDecodeVersionGuard(t *testing.T) {
 		t.Fatal("truncated blob must fail decode")
 	}
 }
-
-func TestNegativeCache(t *testing.T) {
-	c := New(Config{})
-	if c.NegGet("d1", "intgrad") {
-		t.Fatal("empty negative cache must miss")
-	}
-	c.NegPut("d1", "intgrad")
-	c.NegPut("d1", "pdp")
-	c.NegPut("d2", "intgrad")
-	if !c.NegGet("d1", "intgrad") || !c.NegGet("d1", "pdp") || !c.NegGet("d2", "intgrad") {
-		t.Fatal("recorded verdicts must hit")
-	}
-	if c.NegGet("d1", "lime") || c.NegGet("d3", "intgrad") {
-		t.Fatal("unrecorded pairs must miss")
-	}
-	st := c.Stats()
-	if st.NegEntries != 3 {
-		t.Fatalf("NegEntries = %d, want 3", st.NegEntries)
-	}
-	if st.NegHits != 3 {
-		t.Fatalf("NegHits = %d, want 3", st.NegHits)
-	}
-	// NegPut is idempotent.
-	c.NegPut("d1", "intgrad")
-	if st := c.Stats(); st.NegEntries != 3 {
-		t.Fatalf("NegEntries after duplicate put = %d, want 3", st.NegEntries)
-	}
-	// Dropping a digest drops exactly its verdicts.
-	c.DropDigest("d1")
-	if c.NegGet("d1", "intgrad") || c.NegGet("d1", "pdp") {
-		t.Fatal("dropped digest's verdicts must miss")
-	}
-	if !c.NegGet("d2", "intgrad") {
-		t.Fatal("other digest's verdict must survive DropDigest")
-	}
-	if st := c.Stats(); st.NegEntries != 1 {
-		t.Fatalf("NegEntries after drop = %d, want 1", st.NegEntries)
-	}
-}

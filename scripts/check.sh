@@ -2,12 +2,12 @@
 # check.sh — the full local gate, mirroring what CI runs: tier-1
 # (build + tests), the lint wall (gofmt, go vet, nfvlint, the
 # orphan-package check, and staticcheck/govulncheck when installed), and
-# a short fuzz smoke over the three hostile-input surfaces. Run it from
+# a short fuzz smoke over the four hostile-input surfaces. Run it from
 # anywhere inside the repo before pushing.
 #
 #   ./scripts/check.sh            # everything: ~4.5 min on 2 vCPUs with a
 #                                 # cold test cache, ~3 min warm
-#   FUZZTIME=0 ./scripts/check.sh # skip the fuzz smoke (30 s less)
+#   FUZZTIME=0 ./scripts/check.sh # skip the fuzz smoke (40 s less)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,6 +98,7 @@ if [ "$FUZZTIME" != "0" ]; then
   go test -fuzz 'FuzzDecodeModel' -fuzztime "$FUZZTIME" -run '^$' ./internal/ml
   go test -fuzz 'FuzzReadWire' -fuzztime "$FUZZTIME" -run '^$' ./internal/dataset
   go test -fuzz 'FuzzParseSpec' -fuzztime "$FUZZTIME" -run '^$' ./internal/experiment
+  go test -fuzz 'FuzzServeAPI' -fuzztime "$FUZZTIME" -run '^$' ./internal/serve
 fi
 
 printf '\nall checks passed\n'
