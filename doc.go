@@ -79,7 +79,7 @@
 // # The kernel plane
 //
 // Under the batch layer sits a mechanical-sympathy kernel plane
-// (internal/mat, internal/sched, the MLP tile in internal/ml/nn). Dense
+// (internal/mat, internal/sched, the MLP batch paths in internal/ml/nn). Dense
 // linear algebra is one set of plain loops in internal/mat. The weighted
 // least-squares solves at the heart of linear regression (unit weights),
 // KernelSHAP and LIME run through SolveWeightedRidgeInto: pooled
@@ -94,10 +94,21 @@
 // stays bit-identical. The standardizing wrapper in front of the MLP and
 // linear models standardizes chunk-wise into worker-arena rows instead
 // of allocating a vector per row; together they make a 1024-coalition
-// MLP KernelSHAP explain about 3x faster (BENCH_PR13.json). Fan-out
-// across all of it flows through one pool of worker contexts
-// (internal/sched) with per-worker float arenas, sized once (explaind
-// -sched-workers) instead of per-call-site goroutine spawning. Its
+// MLP KernelSHAP explain about 3x faster (BENCH_PR13.json). On amd64
+// CPUs with AVX2 (CPUID and XGETBV, checked once at start-up) the batch
+// path walks 4-row blocks, stored feature-major, through every layer
+// instead, with a Go-assembly kernel: each YMM lane holds one row, eight
+// outputs advance together with the weights read where they lie, and
+// every sum is formed as Predict forms it (bias first, inputs in
+// ascending order, a separate multiply and add with Predict's operand
+// order, no FMA), so batch output stays bit-identical. The tile remains
+// the path everywhere else and the reference the parity tests compare
+// against. The kernel made the same explain 3.8x faster at one core
+// and lifted explainbench's cold-kernelshap throughput from 16.3 to
+// 56.4 req/s (BENCH_PR26.json). Fan-out across all of it flows through
+// one pool of worker contexts (internal/sched) with per-worker float
+// arenas, sized once (explaind -sched-workers) instead of
+// per-call-site goroutine spawning. Its
 // helpers are call-scoped: ParallelFor borrows idle contexts, runs a
 // goroutine per context beside the caller and waits for them, so no
 // goroutine outlives the call that started it and the pool needs no

@@ -47,6 +47,11 @@ func TestLoadRealPackage(t *testing.T) {
 	if err != nil || again != pkg {
 		t.Fatalf("cache miss on second load: %v", err)
 	}
+	// nn declares its AVX2 kernel in an _amd64 file and a stub under
+	// //go:build !amd64; only the files the build takes type-check.
+	if _, err := l.Load("nfvxai/internal/ml/nn"); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLoadPatternsExpandsTree(t *testing.T) {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -189,8 +190,8 @@ func (l *Loader) dirFor(path string) (string, error) {
 	return filepath.Join(l.ModRoot, filepath.FromSlash(rel)), nil
 }
 
-// goFilesIn lists the Go file names in dir, sorted. The tree carries no
-// //go:build constraints, so every file belongs to the default build.
+// goFilesIn lists the Go file names in dir that the default build
+// context takes (GOOS and GOARCH file suffixes, //go:build lines), sorted.
 func goFilesIn(dir string, includeTests bool) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -203,6 +204,11 @@ func goFilesIn(dir string, includeTests bool) ([]string, error) {
 			continue
 		}
 		if !includeTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"nfvxai/internal/dataset"
@@ -61,14 +62,44 @@ func FuzzDecodeModel(f *testing.F) {
 		if !ok || w < 0 {
 			t.Fatalf("decoded model has no usable input width (%d, %v)", w, ok)
 		}
-		x := make([]float64, w)
-		_ = m.Predict(x)
-		out := make([]float64, 1)
+		X := fuzzRows(w)
+		want := make([]float64, len(X))
+		for r, x := range X {
+			want[r] = m.Predict(x)
+		}
+		// The batch path must reproduce Predict bit for bit on the
+		// decoded model too (5 rows: one full 4-row MLP block and a
+		// short one).
 		if bp, ok := m.(BatchPredictor); ok {
-			bp.PredictBatch([][]float64{x}, out)
+			got := make([]float64, len(X))
+			bp.PredictBatch(X, got)
+			for r := range X {
+				if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+					t.Fatalf("%T row %d: PredictBatch %v (%#x) != Predict %v (%#x)",
+						m, r, got[r], math.Float64bits(got[r]), want[r], math.Float64bits(want[r]))
+				}
+			}
 		}
 		if _, err := EncodeModel(m); err != nil {
 			t.Fatalf("decoded model does not re-encode: %v", err)
 		}
 	})
+}
+
+// fuzzRows builds the five rows FuzzDecodeModel predicts: zeros, ones,
+// a signed ramp, the special values (NaN, ±Inf, −0, the smallest
+// subnormal, ±1e308) in turn, and large negatives.
+func fuzzRows(w int) [][]float64 {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, 1e308, -1e308}
+	X := make([][]float64, 5)
+	for r := range X {
+		X[r] = make([]float64, w)
+	}
+	for i := 0; i < w; i++ {
+		X[1][i] = 1
+		X[2][i] = float64(i+1) * 0.75 * float64(1-2*(i%2))
+		X[3][i] = specials[i%len(specials)]
+		X[4][i] = -1e3 * float64(i+1)
+	}
+	return X
 }

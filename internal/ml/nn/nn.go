@@ -268,29 +268,121 @@ func (m *MLP) Predict(x []float64) float64 {
 	return raw
 }
 
-// batchChunk bounds the rows processed per layer-wise sweep so the two
-// activation buffers stay cache-resident regardless of batch size.
+// batchChunk is the fewest rows either batch path hands a sched worker.
+// The tile path also sweeps each layer over at most this many rows, so
+// its two activation buffers stay cache-resident regardless of batch
+// size.
 const batchChunk = 512
 
-// PredictBatch implements ml.BatchPredictor with a layer-wise forward
-// pass: instead of allocating a fresh activation stack per row (what
-// Predict does), each chunk advances through each weight matrix together
-// over two reused activation buffers. Within a layer, rows go through a
-// register tile four at a time (forwardTile): the layer's weights are
-// transposed into a panel so that each output's weights are contiguous,
-// and each weight load feeds four independent sums instead of one sum
-// whose every add waits on the previous one. Every sum is formed exactly
-// as forward forms it — bias first, then inputs in ascending order, with
-// the same z += x*w statement — and the rows%4 tail runs forward's loop,
-// so outputs stay bit-identical to Predict. Chunks are distributed over
-// the shared sched pool, with the activation buffers and the panel
-// carved from each worker's arena so steady-state batches stop
-// allocating. Rows are independent and each chunk writes only its own
-// out range, so the result does not depend on the worker count.
+// PredictBatch implements ml.BatchPredictor. Its outputs are
+// bit-identical to Predict's whatever the batch holds: on amd64 with
+// AVX2 it runs the block path (predictBlocks), elsewhere the tile path
+// (predictTiles), and both form every sum exactly as forward does.
 func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 	if len(m.weights) == 0 {
 		panic("nn: PredictBatch before Fit")
 	}
+	if hasAVX2 {
+		m.predictBlocks(X, out)
+		return
+	}
+	m.predictTiles(X, out)
+}
+
+// predictBlocks walks 4-row blocks through every layer. A block is
+// stored feature-major (blk[i*4+r] is input i of row r) so that one YMM
+// lane holds one row: the AVX2 kernel (blockLayer) computes each layer's
+// outputs eight at a time, reading the weights where they lie, and the
+// outputs left over (such as the final 1-wide layer) finish in Go on the
+// same block, each lane's sum formed as forward forms it. Tanh, the
+// output link and a short last block's padding (its last row repeated,
+// the padded lanes dropped) stay in Go. Blocks are distributed over the
+// shared sched pool, with the two block buffers carved from each
+// worker's arena.
+func (m *MLP) predictBlocks(X [][]float64, out []float64) {
+	maxDim := 0
+	for _, w := range m.dims {
+		maxDim = max(maxDim, w)
+	}
+	sched.ParallelFor(len(X), batchChunk, func(wk *sched.Worker, lo, hi int) {
+		cur := wk.Floats(0, 4*maxDim)
+		nxt := wk.Floats(1, 4*maxDim)
+		for r0 := lo; r0 < hi; r0 += 4 {
+			rows := min(4, hi-r0)
+			for r := 0; r < 4; r++ {
+				x := X[r0+min(r, rows-1)]
+				if len(x) != m.dims[0] {
+					panic(fmt.Sprintf("nn: input width %d != %d", len(x), m.dims[0]))
+				}
+				for i, v := range x {
+					cur[i*4+r] = v
+				}
+			}
+			for l, w := range m.weights {
+				m.layerBlock(cur, nxt, w, m.dims[l], m.dims[l+1], l == len(m.weights)-1)
+				cur, nxt = nxt, cur
+			}
+			for r := 0; r < rows; r++ {
+				raw := cur[r]
+				if m.Task == dataset.Classification {
+					raw = sigmoid(raw)
+				}
+				out[r0+r] = raw
+			}
+		}
+	})
+}
+
+// layerBlock advances the 4-row block src through layer w (in inputs,
+// out outputs) into dst, both feature-major. It slices every argument
+// of the kernel to the exact span the kernel touches, so a broken shape
+// panics here rather than reading out of bounds in assembly.
+func (m *MLP) layerBlock(src, dst, w []float64, in, out int, last bool) {
+	src, dst = src[:4*in], dst[:4*out]
+	bias := w[in*out : (in+1)*out]
+	tanh := !last && m.Act == Tanh
+	g := out &^ 7
+	if g > 0 {
+		blockLayer(dst[:4*g], src, w[:(in-1)*out+g], bias[:g], out, !last && !tanh)
+		if tanh {
+			for k, z := range dst[:4*g] {
+				dst[k] = math.Tanh(z)
+			}
+		}
+	}
+	for j := g; j < out; j++ {
+		b := bias[j]
+		z0, z1, z2, z3 := b, b, b, b
+		for i := 0; i < in; i++ {
+			x, wij := src[i*4:i*4+4], w[i*out+j]
+			z0 += x[0] * wij
+			z1 += x[1] * wij
+			z2 += x[2] * wij
+			z3 += x[3] * wij
+		}
+		if !last {
+			z0, z1, z2, z3 = m.activate(z0), m.activate(z1), m.activate(z2), m.activate(z3)
+		}
+		dst[j*4], dst[j*4+1], dst[j*4+2], dst[j*4+3] = z0, z1, z2, z3
+	}
+}
+
+// predictTiles is the portable layer-wise forward pass: instead of
+// allocating a fresh activation stack per row (what Predict does), each
+// chunk advances through each weight matrix together over two reused
+// activation buffers. Within a layer, rows go through a register tile
+// four at a time (forwardTile): the layer's weights are transposed into
+// a panel so that each output's weights are contiguous, and each weight
+// load feeds four independent sums instead of one sum whose every add
+// waits on the previous one. Every sum is formed exactly as forward
+// forms it — bias first, then inputs in ascending order, with the same
+// z += x*w statement — and the rows%4 tail runs forward's loop, so
+// outputs stay bit-identical to Predict. Chunks are distributed over the
+// shared sched pool, with the activation buffers and the panel carved
+// from each worker's arena so steady-state batches stop allocating. Rows
+// are independent and each chunk writes only its own out range, so the
+// result does not depend on the worker count.
+func (m *MLP) predictTiles(X [][]float64, out []float64) {
 	maxDim, maxPanel := 0, 0
 	for l, w := range m.dims {
 		maxDim = max(maxDim, w)

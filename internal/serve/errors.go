@@ -99,6 +99,41 @@ func writeErrorBody(w http.ResponseWriter, status int, body map[string]any) {
 	writeJSON(w, status, body)
 }
 
+// muxErrorWriter carries the mux's own reply to a request no pattern
+// applies to. It answers the mux's 404 and 405 with the API's JSON error
+// (the 405 keeps the Allow header the mux set) and drops the mux's
+// plain-text body; any other reply, the redirect to a clean path, passes
+// through.
+type muxErrorWriter struct {
+	http.ResponseWriter
+	r       *http.Request
+	replied bool
+}
+
+func (m *muxErrorWriter) WriteHeader(status int) {
+	switch status {
+	case http.StatusNotFound:
+		m.reply(status, "no route for %s %s", m.r.Method, m.r.URL.Path)
+	case http.StatusMethodNotAllowed:
+		m.reply(status, "method %s not allowed on %s (allowed: %s)", m.r.Method, m.r.URL.Path, m.Header().Get("Allow"))
+	default:
+		m.ResponseWriter.WriteHeader(status)
+	}
+}
+
+func (m *muxErrorWriter) reply(status int, format string, args ...any) {
+	m.replied = true
+	m.Header().Del("X-Content-Type-Options")
+	writeError(m.ResponseWriter, status, format, args...)
+}
+
+func (m *muxErrorWriter) Write(b []byte) (int, error) {
+	if m.replied {
+		return len(b), nil
+	}
+	return m.ResponseWriter.Write(b)
+}
+
 // bodyLimit is the cap on r's body: MaxArtifactBytes on artifact import,
 // MaxJSONBytes everywhere else.
 func bodyLimit(r *http.Request) int64 {

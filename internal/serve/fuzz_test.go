@@ -98,11 +98,12 @@ var fuzzRoutes = map[string]bool{
 	"POST /whatif":              true,
 }
 
-// fuzzCovered reports whether s routes r to one of fuzzRoutes. A path
-// the mux must clean first is answered by the mux's own redirect, not
-// by the API, so it is out of scope too.
+// fuzzCovered reports whether s routes r to one of fuzzRoutes, or to
+// no pattern at all (the server's own 404 and 405). A path the mux must
+// clean first is answered by the mux's own redirect, not by the API, so
+// it is out of scope.
 func fuzzCovered(s *Server, r *http.Request) bool {
-	if _, pattern := s.mux.Handler(r); !fuzzRoutes[pattern] {
+	if _, pattern := s.mux.Handler(r); pattern != "" && !fuzzRoutes[pattern] {
 		return false
 	}
 	p := r.URL.EscapedPath()
@@ -179,6 +180,8 @@ func FuzzServeAPI(f *testing.F) {
 		{"POST", "/explain", map[string]any{"features": x, "params": map[string]any{"topk": 2}}, ""},
 		{"POST", rf + "/whatif", whatIf, ""},
 		{"POST", "/whatif", whatIf, "50"},
+		{"GET", "/predict", nil, ""},         // 405: POST only
+		{"GET", "/v1/nothing-here", nil, ""}, // 404: no pattern
 	} {
 		var body []byte
 		if sd.body != nil {

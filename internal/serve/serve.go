@@ -245,7 +245,10 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // traces show which registry answered. No handler reads more than
 // MaxJSONBytes of a request body (MaxArtifactBytes on artifact import):
 // past that, reads fail with an *http.MaxBytesError, which every route
-// answers 413 (errors.go).
+// answers 413 (errors.go). A request no pattern applies to gets the
+// API's JSON error, not the mux's plain text: a 404, or a 405 keeping
+// the mux's Allow header. The mux's redirect to a clean path stays its
+// own.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
 		r.Body = http.MaxBytesReader(w, r.Body, bodyLimit(r))
@@ -258,6 +261,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderRequestID, rid)
 	if s.NodeID != "" {
 		w.Header().Set(HeaderServedBy, s.NodeID)
+	}
+	if h, pattern := s.mux.Handler(r); pattern == "" {
+		h.ServeHTTP(&muxErrorWriter{ResponseWriter: w, r: r}, r)
+		return
 	}
 	s.mux.ServeHTTP(w, r)
 }

@@ -174,11 +174,20 @@ func TestPredictValidation(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed status %d", resp2.StatusCode)
 	}
-	// Wrong method.
+	// Wrong method: the API's JSON error, with the mux's Allow header.
 	resp3 := getJSON(t, srv, "/predict")
-	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /predict status %d", resp3.StatusCode)
+	}
+	if got := resp3.Header.Get("Allow"); got != "POST" {
+		t.Fatalf("GET /predict Allow %q, want POST", got)
+	}
+	if ct := resp3.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("GET /predict Content-Type %q", ct)
+	}
+	rid := resp3.Header.Get(HeaderRequestID)
+	if got := decode[map[string]string](t, resp3); got["error"] == "" || got["request_id"] != rid || rid == "" {
+		t.Fatalf("GET /predict body %v lacks an error or request_id %q", got, rid)
 	}
 	// Unknown model.
 	resp4 := postJSON(t, srv, "/v1/models/nope/predict", map[string]any{"features": []float64{1}})

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the full local gate, mirroring what CI runs: tier-1
-# (build + tests), the lint wall (gofmt, go vet, nfvlint, the
-# orphan-package check, and staticcheck/govulncheck when installed), and
+# (build + tests), the lint wall (gofmt, go vet, an arm64 cross-build,
+# nfvlint, the orphan-package check, and staticcheck/govulncheck when
+# installed), the golden replies at GOMAXPROCS 1 and 2, and
 # a short fuzz smoke over the four hostile-input surfaces. Run it from
 # anywhere inside the repo before pushing.
 #
@@ -23,6 +24,12 @@ fi
 
 step "go vet"
 go vet ./...
+
+# The MLP's AVX2 kernel has a non-amd64 side that an amd64 build never
+# compiles; arm64 builds it, and vet's asmdecl checks the amd64 side.
+step "cross-build (arm64)"
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/ml/...
 
 step nfvlint
 go run ./cmd/nfvlint ./...
@@ -67,6 +74,10 @@ go test -cpu 1,4 -run 'Parity|Scaled' ./internal/ml/... ./internal/core/ ./inter
 
 # The sched pool is sized once per process, so -cpu 1,4 never dispatches
 # at 4 once the 1-CPU pass has sized it; each GOMAXPROCS needs its own run.
+step "golden replies at GOMAXPROCS 1 and 2"
+GOMAXPROCS=1 go test -count=1 -run 'TestGoldenReplies' ./internal/serve/
+GOMAXPROCS=2 go test -count=1 -run 'TestGoldenReplies' ./internal/serve/
+
 step "leak-checked packages at GOMAXPROCS 1 and 4"
 leakpkgs="./internal/serve/ ./internal/experiment/ ./internal/feed/ ./internal/registry/ ./internal/chaos/ ./internal/cluster/ ./internal/sched/ ./internal/xai/xcache/"
 GOMAXPROCS=1 go test -count=1 $leakpkgs
