@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nfvxai/internal/nfv/telemetry"
@@ -79,3 +80,65 @@ func TestScaledModelPredictBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestScaledTransformParity checks the contract KernelSHAP relies on
+// when it evaluates the wrapper's inner model itself: the transform that
+// Standardized returns maps each input to the bits Predict's
+// standardization gives, the inner model on it reproduces Predict, and a
+// row mixed feature by feature from two transformed rows equals the
+// transformed mix. The inputs hold NaN, ±0, ±Inf and the smallest
+// subnormal.
+func TestScaledTransformParity(t *testing.T) {
+	ds, err := WebScenario().GenerateDataset(21, 1, telemetry.TargetBottleneckUtil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 5e-324}
+	for _, kind := range []ModelKind{ModelMLP, ModelLinear} {
+		p, err := NewPipeline(kind, ds, 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm := p.Model.(*scaledModel)
+		inner, transform := sm.Standardized()
+		rng := rand.New(rand.NewSource(6))
+		x := append([]float64(nil), p.Test.X[0]...)
+		bg := make([][]float64, len(p.Background))
+		for i, b := range p.Background {
+			bg[i] = append([]float64(nil), b...)
+			bg[i][rng.Intn(len(b))] = specials[i%len(specials)]
+		}
+		for i, v := range specials {
+			x[4*i] = v
+		}
+		d := len(x)
+		tx := make([]float64, d)
+		transform(tx, x)
+		tb := make([]float64, d)
+		got, want := make([]float64, d), make([]float64, d)
+		for r, row := range kernelRows(rng, x, bg, 400) {
+			transform(tb, bg[r%len(bg)]) // the background row kernelRows mixed in
+			for j := range row {
+				if sameBits(row[j], x[j]) {
+					got[j] = tx[j]
+				} else {
+					got[j] = tb[j]
+				}
+			}
+			transform(want, row)
+			for j := range want {
+				if !sameBits(got[j], want[j]) {
+					t.Fatalf("%v: feature %d: mix of transformed rows %v, transformed mix %v", kind, j, got[j], want[j])
+				}
+			}
+			if s := sm.scaler.Transform(row); !slices.EqualFunc(s, want, sameBits) {
+				t.Fatalf("%v: Standardized's transform %v, scaler.Transform %v", kind, want, s)
+			}
+			if a, b := inner.Predict(want), sm.Predict(row); !sameBits(a, b) {
+				t.Fatalf("%v: inner model on the transformed row %v, Predict %v", kind, a, b)
+			}
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

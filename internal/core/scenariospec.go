@@ -81,6 +81,11 @@ const (
 	MaxCoresPerInstance = 32
 	// MaxBaseFPS bounds the mean flow arrival rate.
 	MaxBaseFPS = 1e8
+	// MaxScenarioNameLen bounds scenario and group names. Every ingested
+	// record repeats each group name, so the cap keeps a full 512-record
+	// ingest on a MaxScenarioGroups-group scenario (2.07 MB at the cap)
+	// under the serving layer's 4 MiB body cap.
+	MaxScenarioNameLen = 64
 )
 
 // WithDefaults returns the spec with optional fields normalized.
@@ -125,16 +130,16 @@ func validSegment(s string) bool {
 // kinds and the replica/size/rate bounds.
 func (sp ScenarioSpec) Validate() error {
 	sp = sp.WithDefaults()
-	if !validSegment(sp.Name) {
-		return fmt.Errorf("core: scenario name %q: want one URL path segment of [A-Za-z0-9._-]", sp.Name)
+	if !validSegment(sp.Name) || len(sp.Name) > MaxScenarioNameLen {
+		return fmt.Errorf("core: scenario name %q: want one URL path segment of at most %d characters of [A-Za-z0-9._-]", sp.Name, MaxScenarioNameLen)
 	}
 	if len(sp.Groups) == 0 || len(sp.Groups) > MaxScenarioGroups {
 		return fmt.Errorf("core: scenario %s: %d groups, want 1..%d", sp.Name, len(sp.Groups), MaxScenarioGroups)
 	}
 	seen := map[string]bool{}
 	for i, g := range sp.Groups {
-		if !validSegment(g.Name) {
-			return fmt.Errorf("core: scenario %s: group %d name %q: want [A-Za-z0-9._-]", sp.Name, i, g.Name)
+		if !validSegment(g.Name) || len(g.Name) > MaxScenarioNameLen {
+			return fmt.Errorf("core: scenario %s: group %d name %q: want at most %d characters of [A-Za-z0-9._-]", sp.Name, i, g.Name, MaxScenarioNameLen)
 		}
 		if seen[g.Name] {
 			return fmt.Errorf("core: scenario %s: duplicate group %q", sp.Name, g.Name)

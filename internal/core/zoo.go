@@ -120,13 +120,12 @@ func (s *scaledModel) Predict(x []float64) float64 {
 }
 
 // PredictBatch implements ml.BatchPredictor. Rows are standardized with
-// Predict's expression, in parallel over the shared sched pool, into
+// Predict's transform, in parallel over the shared sched pool, into
 // rows carved from each worker's arena, and each chunk of at most
 // scaledChunk rows goes to the inner model's batch path; a batch
 // allocates one row-header slice per sched chunk, not a vector per row.
 func (s *scaledModel) PredictBatch(X [][]float64, out []float64) {
-	mean, std := s.scaler.Mean, s.scaler.Std
-	p := len(mean)
+	p := len(s.scaler.Mean)
 	sched.ParallelFor(len(X), scaledChunk, func(wk *sched.Worker, plo, phi int) {
 		buf := wk.Floats(0, scaledChunk*p)
 		rows := make([][]float64, min(scaledChunk, phi-plo))
@@ -137,14 +136,23 @@ func (s *scaledModel) PredictBatch(X [][]float64, out []float64) {
 					panic(fmt.Sprintf("core: input width %d != %d", len(x), p))
 				}
 				z := buf[r*p : (r+1)*p]
-				for j, v := range x {
-					z[j] = (v - mean[j]) / std[j]
-				}
+				s.scaler.TransformInto(z, x)
 				rows[r] = z
 			}
 			ml.PredictBatchInto(s.inner, rows[:hi-lo], out[lo:hi])
 		}
 	})
+}
+
+// Standardized returns the two halves of the wrapper: the inner model
+// and the transform from a raw input to the inner model's input. For
+// every x, Predict(x) is inner.Predict of the transformed x. An
+// explainer whose perturbed rows mix a few raw rows feature by feature
+// (KernelSHAP) can transform those rows once and mix the results, which
+// gives the same inner inputs bit for bit, since the transform scales
+// each feature on its own.
+func (s *scaledModel) Standardized() (inner ml.Predictor, transform func(dst, x []float64)) {
+	return s.inner, s.scaler.TransformInto
 }
 
 // gradModel mirrors intgrad.GradModel so the wrapper can forward

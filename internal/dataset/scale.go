@@ -47,10 +47,18 @@ func FitStandard(d *Dataset) *StandardScaler {
 // Transform maps a raw feature vector to scaled space (new slice).
 func (s *StandardScaler) Transform(x []float64) []float64 {
 	out := make([]float64, len(x))
-	for j, v := range x {
-		out[j] = (v - s.Mean[j]) / s.Std[j]
-	}
+	s.TransformInto(out, x)
 	return out
+}
+
+// TransformInto writes the scaled x into dst, which must be at least as
+// long as x. It is the one place the scaling expression is written, so
+// every caller maps a value to the same bits. Each feature is scaled on
+// its own, so a row mixed from two scaled rows equals the scaled mix.
+func (s *StandardScaler) TransformInto(dst, x []float64) {
+	for j, v := range x {
+		dst[j] = (v - s.Mean[j]) / s.Std[j]
+	}
 }
 
 // Apply returns a copy of d with every row passed through the scaler.

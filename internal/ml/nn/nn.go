@@ -278,15 +278,29 @@ const batchChunk = 512
 // bit-identical to Predict's whatever the batch holds: on amd64 with
 // AVX2 it runs the block path (predictBlocks), elsewhere the tile path
 // (predictTiles), and both form every sum exactly as forward does.
+// Chunks are distributed over the shared sched pool. A batch of fewer
+// than two chunks, which ParallelFor would run inline anyway (the
+// standardizing wrapper hands over 512 rows at a time), goes through
+// sched.Inline instead, whose closure stays on the stack: such a call
+// allocates nothing.
 func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 	if len(m.weights) == 0 {
 		panic("nn: PredictBatch before Fit")
 	}
-	if hasAVX2 {
-		m.predictBlocks(X, out)
+	if len(X) < 2*batchChunk {
+		sched.Inline(len(X), func(wk *sched.Worker, lo, hi int) { m.predictChunk(wk, X[lo:hi], out[lo:hi]) })
 		return
 	}
-	m.predictTiles(X, out)
+	sched.ParallelFor(len(X), batchChunk, func(wk *sched.Worker, lo, hi int) { m.predictChunk(wk, X[lo:hi], out[lo:hi]) })
+}
+
+// predictChunk runs one sched chunk through the block or the tile path.
+func (m *MLP) predictChunk(wk *sched.Worker, X [][]float64, out []float64) {
+	if hasAVX2 {
+		m.predictBlocks(wk, X, out)
+		return
+	}
+	m.predictTiles(wk, X, out)
 }
 
 // predictBlocks walks 4-row blocks through every layer. A block is
@@ -296,41 +310,38 @@ func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 // outputs left over (such as the final 1-wide layer) finish in Go on the
 // same block, each lane's sum formed as forward forms it. Tanh, the
 // output link and a short last block's padding (its last row repeated,
-// the padded lanes dropped) stay in Go. Blocks are distributed over the
-// shared sched pool, with the two block buffers carved from each
-// worker's arena.
-func (m *MLP) predictBlocks(X [][]float64, out []float64) {
+// the padded lanes dropped) stay in Go. The two block buffers are carved
+// from the chunk's worker arena.
+func (m *MLP) predictBlocks(wk *sched.Worker, X [][]float64, out []float64) {
 	maxDim := 0
 	for _, w := range m.dims {
 		maxDim = max(maxDim, w)
 	}
-	sched.ParallelFor(len(X), batchChunk, func(wk *sched.Worker, lo, hi int) {
-		cur := wk.Floats(0, 4*maxDim)
-		nxt := wk.Floats(1, 4*maxDim)
-		for r0 := lo; r0 < hi; r0 += 4 {
-			rows := min(4, hi-r0)
-			for r := 0; r < 4; r++ {
-				x := X[r0+min(r, rows-1)]
-				if len(x) != m.dims[0] {
-					panic(fmt.Sprintf("nn: input width %d != %d", len(x), m.dims[0]))
-				}
-				for i, v := range x {
-					cur[i*4+r] = v
-				}
+	cur := wk.Floats(0, 4*maxDim)
+	nxt := wk.Floats(1, 4*maxDim)
+	for r0 := 0; r0 < len(X); r0 += 4 {
+		rows := min(4, len(X)-r0)
+		for r := 0; r < 4; r++ {
+			x := X[r0+min(r, rows-1)]
+			if len(x) != m.dims[0] {
+				panic(fmt.Sprintf("nn: input width %d != %d", len(x), m.dims[0]))
 			}
-			for l, w := range m.weights {
-				m.layerBlock(cur, nxt, w, m.dims[l], m.dims[l+1], l == len(m.weights)-1)
-				cur, nxt = nxt, cur
-			}
-			for r := 0; r < rows; r++ {
-				raw := cur[r]
-				if m.Task == dataset.Classification {
-					raw = sigmoid(raw)
-				}
-				out[r0+r] = raw
+			for i, v := range x {
+				cur[i*4+r] = v
 			}
 		}
-	})
+		for l, w := range m.weights {
+			m.layerBlock(cur, nxt, w, m.dims[l], m.dims[l+1], l == len(m.weights)-1)
+			cur, nxt = nxt, cur
+		}
+		for r := 0; r < rows; r++ {
+			raw := cur[r]
+			if m.Task == dataset.Classification {
+				raw = sigmoid(raw)
+			}
+			out[r0+r] = raw
+		}
+	}
 }
 
 // layerBlock advances the 4-row block src through layer w (in inputs,
@@ -377,12 +388,11 @@ func (m *MLP) layerBlock(src, dst, w []float64, in, out int, last bool) {
 // waits on the previous one. Every sum is formed exactly as forward
 // forms it — bias first, then inputs in ascending order, with the same
 // z += x*w statement — and the rows%4 tail runs forward's loop, so
-// outputs stay bit-identical to Predict. Chunks are distributed over the
-// shared sched pool, with the activation buffers and the panel carved
-// from each worker's arena so steady-state batches stop allocating. Rows
-// are independent and each chunk writes only its own out range, so the
-// result does not depend on the worker count.
-func (m *MLP) predictTiles(X [][]float64, out []float64) {
+// outputs stay bit-identical to Predict. The activation buffers and the
+// panel are carved from the chunk's worker arena so steady-state batches
+// stop allocating. Rows are independent and each chunk writes only its
+// own out range, so the result does not depend on the worker count.
+func (m *MLP) predictTiles(wk *sched.Worker, X [][]float64, out []float64) {
 	maxDim, maxPanel := 0, 0
 	for l, w := range m.dims {
 		maxDim = max(maxDim, w)
@@ -390,62 +400,57 @@ func (m *MLP) predictTiles(X [][]float64, out []float64) {
 			maxPanel = max(maxPanel, m.dims[l-1]*w)
 		}
 	}
-	sched.ParallelFor(len(X), batchChunk, func(wk *sched.Worker, plo, phi int) {
-		cur := wk.Floats(0, batchChunk*maxDim)
-		nxt := wk.Floats(1, batchChunk*maxDim)
-		panel := wk.Floats(2, maxPanel)
-		for lo := plo; lo < phi; lo += batchChunk {
-			hi := lo + batchChunk
-			if hi > phi {
-				hi = phi
+	cur := wk.Floats(0, batchChunk*maxDim)
+	nxt := wk.Floats(1, batchChunk*maxDim)
+	panel := wk.Floats(2, maxPanel)
+	for lo := 0; lo < len(X); lo += batchChunk {
+		hi := min(lo+batchChunk, len(X))
+		rows := hi - lo
+		for r := 0; r < rows; r++ {
+			x := X[lo+r]
+			if len(x) != m.dims[0] {
+				panic(fmt.Sprintf("nn: input width %d != %d", len(x), m.dims[0]))
 			}
-			rows := hi - lo
-			for r := 0; r < rows; r++ {
-				x := X[lo+r]
-				if len(x) != m.dims[0] {
-					panic(fmt.Sprintf("nn: input width %d != %d", len(x), m.dims[0]))
-				}
-				copy(cur[r*maxDim:], x)
-			}
-			for l, w := range m.weights {
-				in, outW := m.dims[l], m.dims[l+1]
-				last := l == len(m.weights)-1
-				wt := panel[:in*outW]
-				for i := 0; i < in; i++ {
-					for j := 0; j < outW; j++ {
-						wt[j*in+i] = w[i*outW+j]
-					}
-				}
-				r := 0
-				for ; r+4 <= rows; r += 4 {
-					m.forwardTile(cur[r*maxDim:], nxt[r*maxDim:], maxDim, in, wt, w[in*outW:], last)
-				}
-				for ; r < rows; r++ {
-					src := cur[r*maxDim : r*maxDim+in]
-					dst := nxt[r*maxDim : r*maxDim+outW]
-					for j := 0; j < outW; j++ {
-						z := w[in*outW+j] // bias row
-						for i := 0; i < in; i++ {
-							z += src[i] * w[i*outW+j]
-						}
-						if last {
-							dst[j] = z
-						} else {
-							dst[j] = m.activate(z)
-						}
-					}
-				}
-				cur, nxt = nxt, cur
-			}
-			for r := 0; r < rows; r++ {
-				raw := cur[r*maxDim]
-				if m.Task == dataset.Classification {
-					raw = sigmoid(raw)
-				}
-				out[lo+r] = raw
-			}
+			copy(cur[r*maxDim:], x)
 		}
-	})
+		for l, w := range m.weights {
+			in, outW := m.dims[l], m.dims[l+1]
+			last := l == len(m.weights)-1
+			wt := panel[:in*outW]
+			for i := 0; i < in; i++ {
+				for j := 0; j < outW; j++ {
+					wt[j*in+i] = w[i*outW+j]
+				}
+			}
+			r := 0
+			for ; r+4 <= rows; r += 4 {
+				m.forwardTile(cur[r*maxDim:], nxt[r*maxDim:], maxDim, in, wt, w[in*outW:], last)
+			}
+			for ; r < rows; r++ {
+				src := cur[r*maxDim : r*maxDim+in]
+				dst := nxt[r*maxDim : r*maxDim+outW]
+				for j := 0; j < outW; j++ {
+					z := w[in*outW+j] // bias row
+					for i := 0; i < in; i++ {
+						z += src[i] * w[i*outW+j]
+					}
+					if last {
+						dst[j] = z
+					} else {
+						dst[j] = m.activate(z)
+					}
+				}
+			}
+			cur, nxt = nxt, cur
+		}
+		for r := 0; r < rows; r++ {
+			raw := cur[r*maxDim]
+			if m.Task == dataset.Classification {
+				raw = sigmoid(raw)
+			}
+			out[lo+r] = raw
+		}
+	}
 }
 
 // forwardTile advances four rows, stride apart in src, through one layer

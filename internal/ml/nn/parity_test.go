@@ -111,7 +111,8 @@ func poison(m *MLP) {
 
 // TestBlockTileParity holds both batch paths of the MLP to Predict bit
 // for bit: the AVX2 block path (predictBlocks) and the portable tile
-// path (predictTiles), each called directly, over hidden widths that
+// path (predictTiles), each called directly on the chunks of a sched
+// dispatch, over hidden widths that
 // are not multiples of 4 or 8, Tanh, classification and three hidden
 // layers, batch sizes on both sides of the 4-row block and the 512-row
 // chunk, and inputs that hold NaN, infinities, −0, a subnormal and
@@ -146,7 +147,7 @@ func TestBlockTileParity(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 511, 513, 2051}
 	paths := []struct {
 		name string
-		run  func(m *MLP, X [][]float64, out []float64)
+		run  func(m *MLP, wk *sched.Worker, X [][]float64, out []float64)
 	}{
 		{"tiles", (*MLP).predictTiles},
 		{"blocks", (*MLP).predictBlocks},
@@ -165,7 +166,9 @@ func TestBlockTileParity(t *testing.T) {
 				for _, n := range sizes {
 					X := parityRows(m, n, rng)
 					got := make([]float64, n)
-					path.run(m, X, got)
+					sched.ParallelFor(n, batchChunk, func(wk *sched.Worker, lo, hi int) {
+						path.run(m, wk, X[lo:hi], got[lo:hi])
+					})
 					for i, x := range X {
 						if want := m.Predict(x); !sameBits(got[i], want) {
 							t.Fatalf("%s/%d rows: row %d: %s %v (%#x) != Predict %v (%#x)",

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -477,5 +479,47 @@ func TestExportImportArtifact(t *testing.T) {
 	x := p.Test.X[0]
 	if math.Float64bits(p2.Model.Predict(x)) != math.Float64bits(p.Model.Predict(x)) {
 		t.Error("imported model predicts differently")
+	}
+}
+
+// TestWarmStartRefusesOverCapScenarioName: a stored scenario spec whose
+// name is over core.MaxScenarioNameLen (written before the cap existed)
+// no longer validates, so warm start refuses it like any other spec that
+// fails validation: it is reported in the report's Errors, and the rest
+// of the manifest restores. The next manifest write keeps the refused
+// spec, so it is reported again at every boot rather than lost.
+func TestWarmStartRefusesOverCapScenarioName(t *testing.T) {
+	st := NewMemStore()
+	long := core.WebScenarioSpec()
+	long.Name = strings.Repeat("n", core.MaxScenarioNameLen+1)
+	ok := core.WebScenarioSpec()
+	ok.Name = strings.Repeat("n", core.MaxScenarioNameLen)
+	if err := st.PutManifest(Manifest{Version: ManifestVersion, Scenarios: []core.ScenarioSpec{long, ok}}); err != nil {
+		t.Fatal(err)
+	}
+	r := New()
+	r.UseStore(st)
+	rep, err := r.WarmStart(time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scenarios != 1 || len(rep.Errors) != 1 || rep.Errors[0].Name != "scenario/"+long.Name {
+		t.Fatalf("report = %+v, want the 64-character name restored and the 65-character one refused", rep)
+	}
+	if _, err := r.Scenarios.Lookup(ok.Name); err != nil {
+		t.Errorf("scenario at the cap not restored: %v", err)
+	}
+	if _, err := r.Scenarios.Lookup(long.Name); err == nil {
+		t.Error("scenario over the cap restored")
+	}
+	if err := r.PersistManifest(); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := st.GetManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(m.Scenarios, func(sp core.ScenarioSpec) bool { return sp.Name == long.Name }) {
+		t.Error("the next manifest write dropped the refused spec")
 	}
 }

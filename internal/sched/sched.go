@@ -151,13 +151,13 @@ func (p *Pool) ParallelFor(n, minChunk int, fn func(w *Worker, lo, hi int)) {
 	if minChunk <= 0 {
 		minChunk = 1
 	}
-	w := p.callerWorker()
-	defer p.releaseCaller(w)
 	workers := cap(p.idle)
 	if n < 2*minChunk || workers <= 1 {
-		fn(w, 0, n)
+		p.Inline(n, fn)
 		return
 	}
+	w := p.callerWorker()
+	defer p.releaseCaller(w)
 	// Chunk size: enough chunks for the pool plus the caller, floored at
 	// minChunk so tiny tails don't become dispatch overhead.
 	size := (n + workers) / (workers + 1)
@@ -197,4 +197,24 @@ borrow:
 // ParallelFor runs fn over the default pool; see Pool.ParallelFor.
 func ParallelFor(n, minChunk int, fn func(w *Worker, lo, hi int)) {
 	Default().ParallelFor(n, minChunk, fn)
+}
+
+// Inline runs fn over [0, n) as one chunk on the calling goroutine,
+// with a caller context from the pool's free list: what ParallelFor
+// does with work below 2×minChunk. Unlike ParallelFor's, Inline's fn
+// does not escape, so a closure passed to it can stay on the caller's
+// stack; a kernel that knows its batch is one chunk calls Inline and
+// saves the heap allocation that ParallelFor's closure costs per call.
+func (p *Pool) Inline(n int, fn func(w *Worker, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	w := p.callerWorker()
+	defer p.releaseCaller(w)
+	fn(w, 0, n)
+}
+
+// Inline runs fn over the default pool; see Pool.Inline.
+func Inline(n int, fn func(w *Worker, lo, hi int)) {
+	Default().Inline(n, fn)
 }

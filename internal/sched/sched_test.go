@@ -144,6 +144,30 @@ func TestWorkerArenaNoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestInlineNoAllocs: Inline hands fn the whole range once, on a caller
+// context, and a closure passed to it stays on the stack, which is what
+// it exists for.
+func TestInlineNoAllocs(t *testing.T) {
+	p := New(2)
+	var calls, covered int
+	p.Inline(0, func(*Worker, int, int) { calls++ })
+	p.Inline(7, func(w *Worker, lo, hi int) {
+		if w == nil || lo != 0 || hi != 7 {
+			t.Errorf("Inline(7) ran fn(%p, %d, %d), want a worker and [0, 7)", w, lo, hi)
+		}
+		calls++
+	})
+	if calls != 1 {
+		t.Fatalf("fn ran %d times, want once (not at all for n = 0)", calls)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		p.Inline(64, func(w *Worker, lo, hi int) { covered += hi - lo })
+	})
+	if avg != 0 {
+		t.Fatalf("Inline allocates %.1f objects/op, want 0", avg)
+	}
+}
+
 func TestConfigure(t *testing.T) {
 	old := Default()
 	defer defaultPool.Store(old)

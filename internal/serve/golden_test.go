@@ -30,8 +30,10 @@ var update = flag.Bool("update", false, "rewrite the golden reply corpus under t
 // fixture pipeline's Save bytes.
 const goldenDir = "testdata/golden"
 
-// goldenModel is the fixture's model name; the corpus is its first
-// slice, the other model kinds are not in it yet.
+// goldenModel is the MLP fixture's model name. Its entries carry no
+// prefix; the linear and forest fixtures (fuzzPipelines, trained the same
+// way) are prefixed with their kind. The cart and gbt kinds are not in
+// the corpus yet.
 const goldenModel = "web/mlp/util"
 
 // goldenRequestID is sent on every golden request, so the one id a
@@ -86,9 +88,9 @@ func (g goldenRequest) render(body []byte, rec *httptest.ResponseRecorder) []byt
 	return b.Bytes()
 }
 
-// TestGoldenReplies compares every reply of one fresh server over a
-// fixed-seed web/mlp/util pipeline with the committed corpus, byte for
-// byte, so a change that moves one bit of a prediction, an attribution,
+// TestGoldenReplies compares every reply of one fresh server over
+// fixed-seed web/mlp/util, web/linear/util and web/rf/util pipelines
+// with the committed corpus, byte for byte, so a change that moves one bit of a prediction, an attribution,
 // a status or a header shows as a changed file. Run with -update to
 // rewrite the corpus; a change that does so names each file and the
 // reason in CHANGES.md.
@@ -105,10 +107,16 @@ func TestGoldenReplies(t *testing.T) {
 		t.Skipf("golden replies are recorded on amd64; on %s, math.Exp and friends run other code and the compiler may fuse multiply-adds, so last bits can differ", runtime.GOARCH)
 	}
 	p := goldenMLP(t)
+	forest, linear := fuzzPipelines(t)
 	reg := registry.New()
 	reg.UseExplainCache(xcache.New(xcache.Config{MaxBytes: 1 << 20}))
-	if _, err := reg.AddReady(registry.Spec{Name: goldenModel}, p, time.Now()); err != nil {
-		t.Fatal(err)
+	for _, m := range []struct {
+		name string
+		p    *core.Pipeline
+	}{{goldenModel, p}, {fuzzLinearName, linear}, {fuzzForestName, forest}} {
+		if _, err := reg.AddReady(registry.Spec{Name: m.name}, m.p, time.Now()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := NewServer(reg)
 	defer s.Close()
@@ -159,6 +167,22 @@ func TestGoldenReplies(t *testing.T) {
 		goldenRequest{"explain-treeshap-409", "POST", m + "/explain", map[string]any{"features": x, "method": "treeshap"}},
 		goldenRequest{"predict-wrong-width-400", "POST", m + "/predict", map[string]any{"features": x[:3]}},
 	)
+	// KernelSHAP at the served budget (1,024 coalitions), where sampled
+	// coalitions repeat.
+	requests = append(requests, goldenKernelSHAP("", m, x, batch, 1024)...)
+	for _, f := range []struct{ prefix, name string }{{"linear-", fuzzLinearName}, {"rf-", fuzzForestName}} {
+		fm := "/v1/models/" + f.name
+		requests = append(requests,
+			goldenRequest{f.prefix + "explainers", "GET", fm + "/explainers", nil},
+			goldenRequest{f.prefix + "predict-single", "POST", fm + "/predict", map[string]any{"features": x}},
+			goldenRequest{f.prefix + "predict-batch", "POST", fm + "/predict", map[string]any{"instances": p.Test.X[:7]}},
+			goldenRequest{f.prefix + "explain-default", "POST", fm + "/explain", map[string]any{"features": x}},
+		)
+		requests = append(requests, goldenKernelSHAP(f.prefix, fm, x, batch, 64)...)
+		requests = append(requests, goldenKernelSHAP(f.prefix, fm, x, batch, 1024)...)
+	}
+	requests = append(requests, goldenRequest{"rf-explain-treeshap-single", "POST", "/v1/models/" + fuzzForestName + "/explain",
+		map[string]any{"features": x, "method": "treeshap"}})
 
 	saved, err := p.Save()
 	if err != nil {
@@ -210,6 +234,17 @@ func TestGoldenReplies(t *testing.T) {
 		if !bytes.Equal(got[name], want) {
 			t.Errorf("%s: reply differs from the golden file\n%s", name, firstDiff(want, got[name]))
 		}
+	}
+}
+
+// goldenKernelSHAP is a KernelSHAP explain at the given sample budget,
+// single and batch, on the model under path m.
+func goldenKernelSHAP(prefix, m string, x []float64, batch [][]float64, samples int) []goldenRequest {
+	name := fmt.Sprintf("%sexplain-kernelshap-%d-", prefix, samples)
+	params := map[string]any{"samples": samples}
+	return []goldenRequest{
+		{name + "single", "POST", m + "/explain", map[string]any{"features": x, "method": "kernelshap", "params": params}},
+		{name + "batch", "POST", m + "/explain", map[string]any{"instances": batch, "method": "kernelshap", "params": params}},
 	}
 }
 

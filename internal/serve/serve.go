@@ -470,8 +470,9 @@ const MaxArtifactBytes = 64 << 20
 // MaxJSONBytes bounds every other request body. The largest valid one is
 // a MaxIngestBatch-record ingest on a MaxScenarioGroups-group scenario:
 // 1.66 MB of compact JSON with 11-character group names (3.3 KB a
-// record), so 4 MiB leaves 2.5× headroom; a full MaxBatch explain on the
-// 26-feature web schema is 86 KB.
+// record), and 2.07 MB with names at core.MaxScenarioNameLen, so 4 MiB
+// leaves 2× headroom (TestScenarioNameCap); a full MaxBatch explain on
+// the 26-feature web schema is 86 KB.
 const MaxJSONBytes = 4 << 20
 
 // handleExportModel serves the named ready model as a self-contained

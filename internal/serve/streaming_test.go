@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -36,7 +37,13 @@ func edgeSpec() core.ScenarioSpec {
 // tests.
 func edgeRecords(t *testing.T, seed int64, n int) []telemetry.Record {
 	t.Helper()
-	sc, err := edgeSpec().Compile()
+	return specRecords(t, edgeSpec(), seed, n)
+}
+
+// specRecords simulates sp offline and returns n epoch records.
+func specRecords(t *testing.T, sp core.ScenarioSpec, seed int64, n int) []telemetry.Record {
+	t.Helper()
+	sc, err := sp.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +144,57 @@ func TestScenarioCRUD(t *testing.T) {
 	resp = postJSON(t, srv, "/v1/models", registry.Spec{Scenario: "edge-pop", Model: "linear", Target: "util", Hours: 0.2})
 	wantStatus(t, resp, http.StatusAccepted)
 	resp.Body.Close()
+}
+
+// TestScenarioNameCap: scenario and group names are capped at
+// core.MaxScenarioNameLen characters, and at the cap the largest valid
+// ingest (MaxIngestBatch records on a MaxScenarioGroups-group scenario)
+// fits under MaxJSONBytes and is accepted.
+func TestScenarioNameCap(t *testing.T) {
+	_, srv, _ := newStreamingServer(t)
+	name := func(prefix string, n int) string { return prefix + strings.Repeat("x", n-len(prefix)) }
+	kinds := []string{"firewall", "monitor"}
+	sp := core.ScenarioSpec{
+		Name:    name("wide-", core.MaxScenarioNameLen),
+		Traffic: core.TrafficSpec{BaseFPS: 2000, DiurnalAmplitude: 0.3, PeakHour: 12},
+		SLO:     core.SLOSpec{MaxLatencyMs: 5, MaxLossRate: 0.01},
+	}
+	for i := 0; i < core.MaxScenarioGroups; i++ {
+		sp.Groups = append(sp.Groups, core.GroupSpec{Name: name(fmt.Sprintf("g%02d-", i), core.MaxScenarioNameLen), Kind: kinds[i%2], Replicas: 1, CoresPerInstance: 2})
+	}
+
+	over := sp
+	over.Name = name("wide-", core.MaxScenarioNameLen+1)
+	resp := postJSON(t, srv, "/v1/scenarios", over)
+	wantStatus(t, resp, http.StatusBadRequest)
+	resp.Body.Close()
+	over = sp
+	over.Groups = append([]core.GroupSpec(nil), sp.Groups...)
+	over.Groups[3].Name = name("g03-", core.MaxScenarioNameLen+1)
+	resp = postJSON(t, srv, "/v1/scenarios", over)
+	wantStatus(t, resp, http.StatusBadRequest)
+	resp.Body.Close()
+
+	resp = postJSON(t, srv, "/v1/scenarios", sp)
+	wantStatus(t, resp, http.StatusCreated)
+	resp.Body.Close()
+	sim := false
+	resp = postJSON(t, srv, "/v1/feeds", FeedRequest{Name: "wide", Scenario: sp.Name, Simulate: &sim})
+	wantStatus(t, resp, http.StatusCreated)
+	resp.Body.Close()
+	body, err := json.Marshal(IngestRequest{Records: specRecords(t, sp, 5, MaxIngestBatch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) >= MaxJSONBytes {
+		t.Fatalf("a full ingest at the name cap is %d bytes, over MaxJSONBytes %d", len(body), MaxJSONBytes)
+	}
+	resp = postJSON(t, srv, "/v1/feeds/wide/records", json.RawMessage(body))
+	wantStatus(t, resp, http.StatusOK)
+	if got := decode[IngestResponse](t, resp); got.Accepted != MaxIngestBatch {
+		t.Fatalf("accepted %d of %d", got.Accepted, MaxIngestBatch)
+	}
+	t.Logf("full ingest at the name cap: %d bytes (%d a record)", len(body), len(body)/MaxIngestBatch)
 }
 
 // TestFeedLifecycleAndIngest covers feed CRUD and the ingest schema

@@ -37,7 +37,9 @@ type CostModel struct {
 	// enforcement to the context deadline.
 	PredNs float64
 	// Background is the background-sample row count — every KernelSHAP
-	// coalition and occlusion column costs this many predictions.
+	// coalition and occlusion column costs this many predictions (a
+	// KernelSHAP draw that repeats an earlier one costs none, so a plan
+	// is conservative).
 	Background int
 	// Features is the model's input dimension.
 	Features int

@@ -11,10 +11,13 @@
 // (drawStorage does) — enumerateCoalitions and sampleCoalitions only set
 // true bits (complement masks overwrite fully, primary masks do not), so
 // stale bits from a previous draw would corrupt the coalition
-// distribution. The treefast accumulator MUST be cleared before each
-// evaluation because it is written with +=. The generic evaluator's row
-// and prediction buffers, the coalition values and the WLS design are
-// fully overwritten on every use and are handed out dirty.
+// distribution. The first-draw table MUST be cleared before each draw
+// (firstDraws does), since 0 marks its empty slots. The treefast
+// accumulator MUST be cleared before each evaluation because it is
+// written with +=. The generic evaluator's row and prediction buffers,
+// the standardized instance, the distinct masks and their values, the
+// coalition values and the WLS design are fully overwritten on every use
+// and are handed out dirty.
 package shap
 
 import (
@@ -44,13 +47,23 @@ type scratch struct {
 	sizeW       []float64
 	perm        []int
 
+	// Repeated draws: each draw's first occurrence and the hash table
+	// that finds it (firstDraws), and the distinct masks with their
+	// values, which are what the evaluators see.
+	first []int
+	table []int
+	uniq  [][]bool
+	uvals []float64
+
 	// The generic evaluator's block: the flat row backing, the row headers
 	// re-carved per call (d varies between models sharing the pool), the
-	// prediction vector, and the kept-feature list rebuilt per coalition.
+	// prediction vector, the kept-feature list rebuilt per coalition, and
+	// the standardized instance for a standardizing wrapper's inner model.
 	rowBacking []float64
 	rows       [][]float64
 	preds      []float64
 	kept       []int
+	xs         []float64
 
 	// The masked tree evaluator's (background × coalition) accumulator —
 	// the single largest buffer of a forest Explain — and its

@@ -51,7 +51,7 @@ func (k *Kernel) explainProgressive(ctx context.Context, x []float64, base, fx f
 	if total := (1 << uint(d)) - 2; d <= 20 && total <= budget {
 		masks, weights := enumerateCoalitions(d, sc)
 		vals := sc.valsFor(len(masks))
-		if err := k.evalCoalitions(ctx, x, masks, vals, sc); err != nil {
+		if err := k.evalCoalitions(ctx, x, masks, nil, vals, sc); err != nil {
 			return xai.Attribution{}, err
 		}
 		phi, err := solvePhi(masks, weights, vals, base, fx, k.ridge(), sc)
@@ -102,9 +102,9 @@ func (k *Kernel) explainProgressive(ctx context.Context, x []float64, base, fx f
 			n = rem
 		}
 		start := time.Now()
-		masks, weights := sampleCoalitions(d, n, sc)
+		masks, weights, first := sampleCoalitions(d, n, sc)
 		vals := sc.valsFor(len(masks))
-		if err := k.evalCoalitions(ctx, x, masks, vals, sc); err != nil {
+		if err := k.evalCoalitions(ctx, x, masks, first, vals, sc); err != nil {
 			if blocks > 0 && errors.Is(err, context.DeadlineExceeded) {
 				break
 			}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"nfvxai/internal/mat"
@@ -57,6 +58,12 @@ func init() {
 // linear models — are scored over contiguous buffers instead of one
 // pointer-chased Predict call per perturbed row. Plain Predictors fall
 // back to a worker-chunked Predict loop and produce identical results.
+//
+// Two shortcuts leave every value's bits as they were. A sampled
+// coalition that repeats an earlier draw is evaluated once (see
+// firstDraws). And a standardizing wrapper's inner model is evaluated
+// directly, on a background standardized once per Kernel and an instance
+// standardized once per call (see standardized.go).
 type Kernel struct {
 	Model ml.Predictor
 	// Background rows are reference inputs; 50–200 rows is typical.
@@ -93,11 +100,14 @@ type Kernel struct {
 	baseOnce sync.Once
 	baseVal  float64
 
-	// The masked tree-ensemble evaluator (treefast.go) is detected once:
-	// whether the model decomposes into additive trees does not change
-	// for a frozen model.
-	fastOnce sync.Once
+	// The evaluator is chosen once, since what the frozen model is does
+	// not change: the masked tree-ensemble evaluator (treefast.go) when
+	// the model decomposes into additive trees, else the generic one,
+	// on the inner model of a standardizing wrapper (standardized.go)
+	// when it reproduces the wrapper.
+	evalOnce sync.Once
 	fast     *maskedEvaluator
+	std      *standardizedModel
 }
 
 // Explain computes the SHAP attribution of the model at x. Cancellation
@@ -140,11 +150,12 @@ func (k *Kernel) Explain(ctx context.Context, x []float64) (xai.Attribution, err
 	defer sc.release()
 	var masks [][]bool
 	var weights []float64
+	var first []int
 	if total := (1 << uint(d)) - 2; d <= 20 && total <= budget {
 		masks, weights = enumerateCoalitions(d, sc)
 	} else {
 		sc.rng.Seed(k.Seed + 0x9E3779B9)
-		masks, weights = sampleCoalitions(d, budget, sc)
+		masks, weights, first = sampleCoalitions(d, budget, sc)
 	}
 
 	// Evaluate the value function for every coalition.
@@ -156,7 +167,7 @@ func (k *Kernel) Explain(ctx context.Context, x []float64) (xai.Attribution, err
 			}
 			vals[i] = k.coalitionValue(x, m)
 		}
-	} else if err := k.evalCoalitions(ctx, x, masks, vals, sc); err != nil {
+	} else if err := k.evalCoalitions(ctx, x, masks, first, vals, sc); err != nil {
 		return xai.Attribution{}, err
 	}
 
@@ -272,21 +283,74 @@ func (k *Kernel) coalitionValue(x []float64, mask []bool) float64 {
 const evalBlockRows = 16384
 
 // evalCoalitions fills vals[i] with the coalition value of masks[i]: the
-// mean model output over the background replacements. Additive tree
-// ensembles take the masked divergence-tree path (treefast.go); all other
-// models get the (coalition × background) perturbation rows of a block
-// assembled in one flat backing buffer and evaluated with a single
-// batched model call. The generic reduction sums each coalition's
-// background predictions in row order, so it is bit-identical to
-// coalitionValue; the masked path agrees to within float reassociation.
-// ctx is checked once per block / background row.
-func (k *Kernel) evalCoalitions(ctx context.Context, x []float64, masks [][]bool, vals []float64, sc *scratch) error {
-	k.fastOnce.Do(func() { k.fast = newMaskedEvaluator(k) })
+// mean model output over the background replacements. first, when not
+// nil, maps each draw to the first draw of the same mask (firstDraws):
+// only first occurrences reach the evaluator, and each repeat copies the
+// value of its first occurrence, which is the value it would have
+// computed, since a coalition's value depends on its mask alone.
+func (k *Kernel) evalCoalitions(ctx context.Context, x []float64, masks [][]bool, first []int, vals []float64, sc *scratch) error {
+	if first == nil {
+		return k.evalDistinct(ctx, x, masks, vals, sc)
+	}
+	uniq := sc.uniq[:0]
+	for i, m := range masks {
+		if first[i] == i {
+			uniq = append(uniq, m)
+		}
+	}
+	sc.uniq = uniq
+	if cap(sc.uvals) < len(uniq) {
+		sc.uvals = make([]float64, len(uniq))
+	}
+	uvals := sc.uvals[:len(uniq)]
+	if err := k.evalDistinct(ctx, x, uniq, uvals, sc); err != nil {
+		return err
+	}
+	u := 0
+	for i, f := range first {
+		if f == i {
+			vals[i] = uvals[u]
+			u++
+		} else {
+			vals[i] = vals[f]
+		}
+	}
+	return nil
+}
+
+// evalDistinct fills vals[i] with the coalition value of masks[i].
+// Additive tree ensembles take the masked divergence-tree path
+// (treefast.go); all other models get the (coalition × background)
+// perturbation rows of a block assembled in one flat backing buffer and
+// evaluated with a single batched model call. The generic reduction sums
+// each coalition's background predictions in row order, so it is
+// bit-identical to coalitionValue (but for a NaN value's payload: which
+// of two NaNs a sum keeps depends on how its add is compiled); the masked
+// path agrees to within float reassociation. ctx is checked once per
+// block / background row.
+func (k *Kernel) evalDistinct(ctx context.Context, x []float64, masks [][]bool, vals []float64, sc *scratch) error {
+	k.evalOnce.Do(func() {
+		if k.fast = newMaskedEvaluator(k); k.fast == nil {
+			k.std = newStandardizedModel(k)
+		}
+	})
 	if k.fast != nil {
 		return k.fast.evalCoalitions(ctx, x, k.Background, masks, vals, sc)
 	}
+	model, background := k.Model, k.Background
+	if k.std != nil {
+		// Hybrids of standardized rows are the standardized hybrids, bit
+		// for bit, so x is standardized once and the rows go to the inner
+		// model as they are.
+		if cap(sc.xs) < len(x) {
+			sc.xs = make([]float64, len(x))
+		}
+		xs := sc.xs[:len(x)]
+		k.std.transform(xs, x)
+		model, background, x = k.std.inner, k.std.background, xs
+	}
 	d := len(x)
-	nb := len(k.Background)
+	nb := len(background)
 	perBlock := evalBlockRows / nb
 	if perBlock < 1 {
 		perBlock = 1
@@ -330,12 +394,12 @@ func (k *Kernel) evalCoalitions(ctx context.Context, x []float64, masks [][]bool
 					kept = append(kept, j)
 				}
 			}
-			for _, bg := range k.Background {
+			for _, bg := range background {
 				mat.HybridRow(rows[r], bg, x, kept)
 				r++
 			}
 		}
-		ml.PredictBatchParallel(k.Model, rows[:r], preds[:r], 0)
+		ml.PredictBatchParallel(model, rows[:r], preds[:r], 0)
 		r = 0
 		for ci := lo; ci < hi; ci++ {
 			var s float64
@@ -394,14 +458,16 @@ func enumerateCoalitions(d int, sc *scratch) ([][]bool, []float64) {
 // sampleCoalitions draws masks from the size distribution induced by the
 // Shapley kernel (paired with their complements for variance reduction);
 // sampled masks carry uniform weight since the kernel is absorbed into the
-// sampling distribution. It draws from sc.rng, which the caller seeds once
+// sampling distribution. Draws are with replacement, so a mask can repeat
+// an earlier one; first maps every draw to its first occurrence
+// (firstDraws). It draws from sc.rng, which the caller seeds once
 // per call, so the progressive estimator's blocks continue one
 // deterministic stream: block b's masks depend only on the seed and how
 // many draws preceded them, which is what makes partial results
-// reproducible for a fixed seed and block count. The returned masks alias
-// sc.maskBacking and are valid only until the scratch is released; storage
-// reuse never changes which coalitions a given rng stream produces.
-func sampleCoalitions(d, budget int, sc *scratch) ([][]bool, []float64) {
+// reproducible for a fixed seed and block count. The returned slices alias
+// sc and are valid only until the scratch is released; storage reuse
+// never changes which coalitions a given rng stream produces.
+func sampleCoalitions(d, budget int, sc *scratch) (masks [][]bool, weights []float64, first []int) {
 	// Size distribution p(s) ∝ (d−1)/(s(d−s)) for s in 1..d−1. sizeW[0]
 	// is never written by the fill loop, so the reused slice is cleared
 	// first.
@@ -455,7 +521,66 @@ func sampleCoalitions(d, budget int, sc *scratch) ([][]bool, []float64) {
 			weights = append(weights, 1)
 		}
 	}
-	return masks, weights
+	return masks, weights, firstDraws(masks, sc)
+}
+
+// firstDraws returns, for every draw i, the index of the earliest draw
+// whose mask equals masks[i] (i itself for a first occurrence). Masks
+// are hashed into an open-addressing table of at least twice the draw
+// count, held in sc like the returned slice, and every hash match is
+// confirmed by comparing the masks, so a collision never merges two
+// coalitions. The table is sized to draws, not to perturbation rows.
+func firstDraws(masks [][]bool, sc *scratch) []int {
+	n := len(masks)
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(sc.table) < size {
+		sc.table = make([]int, size)
+	}
+	table := sc.table[:size] // draw index + 1; 0 marks an empty slot
+	clear(table)
+	if cap(sc.first) < n {
+		sc.first = make([]int, n)
+	}
+	first := sc.first[:n]
+	for i, m := range masks {
+		slot := maskHash(m) & uint64(size-1)
+		for table[slot] != 0 && !slices.Equal(masks[table[slot]-1], m) {
+			slot = (slot + 1) & uint64(size-1)
+		}
+		if table[slot] == 0 {
+			table[slot] = i + 1
+		}
+		first[i] = table[slot] - 1
+	}
+	return first
+}
+
+// maskHash packs a mask's bits 64 to a word and mixes each word into the
+// hash with the murmur3 64-bit finalizer.
+func maskHash(m []bool) uint64 {
+	var h, w uint64
+	for j, on := range m {
+		if on {
+			w |= 1 << (j & 63)
+		}
+		if j&63 == 63 {
+			h = fmix64(h ^ w)
+			w = 0
+		}
+	}
+	return fmix64(h ^ w)
+}
+
+func fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 func sum(xs []float64) float64 {
@@ -493,7 +618,7 @@ func Exact(ctx context.Context, model ml.Predictor, background [][]float64, x []
 		}
 		masks[bits] = m
 	}
-	if err := k.evalCoalitions(ctx, x, masks, vals, sc); err != nil {
+	if err := k.evalCoalitions(ctx, x, masks, nil, vals, sc); err != nil {
 		return xai.Attribution{}, err
 	}
 	//lint:allow poolalloc Exact is the one-shot reference API, not a serving path

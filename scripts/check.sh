@@ -85,7 +85,7 @@ GOMAXPROCS=4 go test -count=1 $leakpkgs
 
 step "race (batch inference + scheduler + scaled wrapper + explainers + serving/jobs + feeds + experiments + registry + cluster)"
 go test -race ./internal/ml/... ./internal/sched/ ./internal/xai/... ./internal/serve/... ./internal/feed/... ./internal/experiment/... ./internal/registry/... ./internal/cluster/...
-go test -race -run 'TestScaledModelPredictBatch' ./internal/core/
+go test -race -run 'TestScaledModelPredictBatch|TestScaledTransformParity' ./internal/core/
 
 step "explainbench module (nested; root go test ./... skips it)"
 (cd explainbench && go vet ./... && go test ./...)
