@@ -141,10 +141,13 @@
 // trip; tree models rebuild their flattened batch-routing layouts on
 // load. The registry persists through registry.Store, laid over a
 // pluggable blob backend (filesystem first: content-addressed artifacts
-// plus an atomically written manifest), warm-starts from it on boot
-// (explaind -store), persists streaming retrains, and moves artifacts
-// between processes via GET /v1/models/{name}/artifact and POST
-// /v1/models/import. Corruption is typed: truncated artifacts, manifest
+// plus an atomically written manifest), persists streaming retrains, and
+// moves artifacts between processes via GET /v1/models/{name}/artifact
+// and POST /v1/models/import. A boot (explaind -store) restores from the
+// store with the same reader the cluster's sync loop uses: serve.Open
+// runs one registry.SyncManifest round on the empty registry, so a warm
+// start is the first sync round, and -model flags the store already
+// holds skip training. Corruption is typed: truncated artifacts, manifest
 // version mismatches and unknown model kinds each surface distinct
 // errors while the rest of the registry keeps serving.
 //
@@ -236,7 +239,10 @@
 //
 // explaind is a stateless, shardable frontend: several processes
 // sharing one -store form a serving cluster with no coordinator and no
-// new dependencies (internal/cluster). A seeded consistent-hash ring —
+// new dependencies (internal/cluster). Every node — an explaind process,
+// a node of examples/cluster, of the e2e fleet or of the chaos fleet —
+// boots through serve.Open, which builds the ring and the sync loop and
+// starts them only once the node is wired. A seeded consistent-hash ring —
 // FNV-1a with an avalanche finalizer over 64 virtual nodes per member —
 // deterministically maps every model name to -replication owner nodes,
 // so each node computes identical placement from identical membership

@@ -29,15 +29,13 @@ import (
 	"nfvxai/internal/serve"
 )
 
-// fleetNode is one in-process cluster member: its own registry and
-// server over the shared store directory.
+// fleetNode is one in-process cluster member: a node booted through
+// serve.Open over the shared store directory.
 type fleetNode struct {
 	id  string
 	reg *registry.Registry
-	srv *serve.Server
-	hs  *httptest.Server
 	cl  *cluster.Cluster
-	syn *cluster.Syncer
+	hs  *httptest.Server
 }
 
 func main() {
@@ -49,47 +47,38 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// 2. Boot three serving stacks, then join them into one ring:
-	//    replication 2, fast probe/sync intervals for the demo.
+	// 2. Boot three nodes as one ring: replication 2, fast probe/sync
+	//    intervals for the demo. The listeners exist first, so every node
+	//    opens knowing the whole fleet, and each serves once it is wired.
 	nodes := make([]*fleetNode, 3)
+	members := make([]cluster.Node, len(nodes))
 	for i := range nodes {
-		id := string(rune('a' + i))
+		hs := httptest.NewUnstartedServer(nil)
+		nodes[i] = &fleetNode{id: string(rune('a' + i)), hs: hs}
+		members[i] = cluster.Node{ID: nodes[i].id, URL: "http://" + hs.Listener.Addr().String()}
+	}
+	for _, nd := range nodes {
 		st, err := registry.OpenFSStore(dir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		reg := registry.New()
-		reg.OnStoreError = func(err error) { log.Printf("store: %v", err) }
-		reg.UseStore(registry.NewStore(registry.NewRetryBlob(st.Backend(), registry.RetryConfig{})))
-		srv := serve.NewServer(reg)
-		srv.NodeID = id
-		nodes[i] = &fleetNode{id: id, reg: reg, srv: srv, hs: httptest.NewServer(srv)}
-	}
-	members := make([]cluster.Node, len(nodes))
-	for i, nd := range nodes {
-		members[i] = cluster.Node{ID: nd.id, URL: nd.hs.URL}
-	}
-	for _, nd := range nodes {
-		c, err := cluster.New(cluster.Config{
-			Self:          nd.id,
-			Nodes:         members,
-			Replication:   2,
-			ProbeInterval: 200 * time.Millisecond,
+		node, err := serve.Open(serve.Config{
+			Store:        st.Backend(),
+			SyncInterval: 300 * time.Millisecond,
+			Cluster: cluster.Config{
+				Self:          nd.id,
+				Nodes:         members,
+				Replication:   2,
+				ProbeInterval: 200 * time.Millisecond,
+			},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		nd.cl = c
-		nd.syn = &cluster.Syncer{Reg: nd.reg, Interval: 300 * time.Millisecond}
-		nd.srv.Cluster = c
-		nd.srv.Syncer = nd.syn
-	}
-	// Start only once every server is wired: a started node probes its
-	// peers at once, and a peer still being wired would race with it.
-	for _, nd := range nodes {
-		nd.cl.Start()
-		nd.syn.Start()
-		defer func(nd *fleetNode) { nd.syn.Stop(); nd.cl.Stop(); nd.hs.Close(); nd.srv.Close() }(nd)
+		nd.reg, nd.cl = node.Registry(), node.Cluster()
+		nd.hs.Config.Handler = node
+		nd.hs.Start()
+		defer func(nd *fleetNode) { nd.hs.Close(); node.Close() }(nd)
 	}
 	a := nodes[0]
 	fmt.Printf("fleet up: %s %s %s (replication 2, shared store %s)\n",

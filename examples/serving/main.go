@@ -19,25 +19,24 @@ import (
 )
 
 func main() {
-	// 1. Train the startup model synchronously (a small web-scenario random
-	//    forest) and register it as the default, exactly like
-	//    `explaind -model web:rf:util:1`.
+	// 1. Boot a node whose startup model (a small web-scenario random
+	//    forest) trains synchronously and becomes the default, exactly
+	//    like `explaind -model web:rf:util:1`.
 	spec, err := registry.ParseSpec("web:rf:util:1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("training %s...\n", spec.Name)
-	reg := registry.New()
-	p, err := reg.BuildPipeline(spec)
+	node, err := serve.Open(serve.Config{Models: []registry.Spec{spec}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := reg.AddReady(spec, p, time.Now()); err != nil {
+	defer node.Close()
+	reg := node.Registry()
+	p, err := reg.Lookup(spec.Name)
+	if err != nil {
 		log.Fatal(err)
 	}
-	built := make(chan string, 1)
-	reg.NotifyBuilds(built)
-	srv := httptest.NewServer(serve.NewServer(reg))
+	srv := httptest.NewServer(node)
 	defer srv.Close()
 
 	// 2. Grow the registry at runtime: POST /v1/models answers 202 and the
@@ -131,7 +130,9 @@ func main() {
 	fmt.Printf("job %s %s: top global feature %s (mean |SHAP| %.4f)\n", job.ID, job.Status, top, topV)
 
 	// 4. Wait for the background build, then list both live models.
-	fmt.Printf("background build finished: %s\n", <-built)
+	built, _ := reg.Built("nat/gbt/violation") // registered by the POST above
+	<-built
+	fmt.Println("background build finished: nat/gbt/violation")
 	var list struct {
 		Default string `json:"default"`
 		Models  []struct {

@@ -43,12 +43,12 @@ func trainPipeline(t *testing.T) *core.Pipeline {
 	return chaosPipeline
 }
 
-// stack is one serving stack over a fault-injected store:
-// FSBlob ← ChaosBlob(errRate) ← RetryBlob ← Store ← Registry ← Server.
+// stack is one node booted through serve.Open over a fault-injected
+// store: FSBlob ← ChaosBlob(errRate) ← RetryBlob ← Store ← Registry. The
+// node boots over a healthy store; the faults start once it is up.
 type stack struct {
 	reg       *registry.Registry
 	chaos     *registry.ChaosBlob
-	s         *serve.Server
 	srv       *httptest.Server
 	storeErrs atomic.Int64
 }
@@ -60,22 +60,27 @@ func newStack(t *testing.T, errRate float64, seed int64) *stack {
 		t.Fatal(err)
 	}
 	st := &stack{}
-	st.chaos = registry.NewChaosBlob(fs.Backend(), registry.ChaosConfig{ErrRate: errRate, Seed: seed})
-	rb := registry.NewRetryBlob(st.chaos, registry.RetryConfig{
-		Seed:  seed,
-		Sleep: func(time.Duration) {}, // no real backoff sleeps in tests
+	st.chaos = registry.NewChaosBlob(fs.Backend(), registry.ChaosConfig{Seed: seed})
+	node, err := serve.Open(serve.Config{
+		Store: st.chaos,
+		Retry: registry.RetryConfig{
+			Seed:  seed,
+			Sleep: func(time.Duration) {}, // no real backoff sleeps in tests
+		},
 	})
-	st.reg = registry.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.chaos.SetErrRate(errRate)
+	st.reg = node.Registry()
 	st.reg.OnStoreError = func(error) { st.storeErrs.Add(1) }
-	st.reg.UseStore(registry.NewStore(rb))
 	if _, err := st.reg.AddReady(registry.Spec{Name: "default"}, trainPipeline(t), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	st.s = serve.NewServer(st.reg)
-	st.srv = httptest.NewServer(st.s)
+	st.srv = httptest.NewServer(node)
 	t.Cleanup(func() {
 		st.srv.Close()
-		st.s.Close()
+		node.Close()
 	})
 	return st
 }
@@ -368,12 +373,12 @@ func TestChaosWarmStart(t *testing.T) {
 	reg.OnStoreError = func(error) {}
 	reg.UseStore(registry.NewStore(rb))
 
-	rep, err := reg.WarmStart(time.Now())
+	rep, err := reg.SyncManifest(time.Now())
 	if err != nil {
 		// Typed failure is acceptable; a wedged or panicking restore is not.
 		t.Logf("warm start failed cleanly: %v", err)
 	}
-	for _, name := range rep.Models {
+	for _, name := range rep.Adopted {
 		if _, err := reg.Lookup(name); err != nil {
 			t.Fatalf("restored model %q not servable: %v", name, err)
 		}
@@ -381,9 +386,9 @@ func TestChaosWarmStart(t *testing.T) {
 	for _, re := range rep.Errors {
 		t.Logf("restore error (tolerated): %v", fmt.Errorf("%s: %w", re.Name, re.Err))
 	}
-	// A second restore attempt over the same faulty store must also
-	// return (already-restored models land in Errors, not a deadlock).
-	if _, err := reg.WarmStart(time.Now()); err != nil {
+	// A second round over the same faulty store must also return
+	// (already-restored models are skipped, nothing deadlocks).
+	if _, err := reg.SyncManifest(time.Now()); err != nil {
 		t.Logf("second warm start failed cleanly: %v", err)
 	}
 	// The warm starts alone draw too few operations to guarantee an

@@ -21,79 +21,60 @@ import (
 // nodes die. The resilience contract is unchanged: every response stays
 // inside allowedStatus, and the fleet keeps answering 200s.
 
-// fleetNode is one chaos-fleet member: a full serving stack whose store
-// chain is shared-bucket ← ChaosBlob ← RetryBlob ← Store.
+// fleetNode is one chaos-fleet member: a node booted through serve.Open
+// whose store chain is shared-bucket ← ChaosBlob ← RetryBlob ← Store.
 type fleetNode struct {
 	id    string
 	reg   *registry.Registry
 	chaos *registry.ChaosBlob
-	s     *serve.Server
-	hs    *httptest.Server
 	cl    *cluster.Cluster
-	syn   *cluster.Syncer
+	hs    *httptest.Server
 }
 
 // newChaosFleet boots n nodes over one shared in-memory bucket with
 // per-node store fault injection. Store errors and sync errors are
 // tolerated (the retry plane exists to absorb them); only contract
-// violations fail the test.
+// violations fail the test. As in the cluster e2e fleet, the listeners
+// exist before any node opens with the full membership, and each serves
+// only once wired.
 func newChaosFleet(t *testing.T, n int, errRate float64, seed int64) []*fleetNode {
 	t.Helper()
 	blob := registry.NewMemBlob()
 	nodes := make([]*fleetNode, n)
-	for i := range nodes {
-		id := fmt.Sprintf("node-%c", 'a'+i)
-		nd := &fleetNode{id: id}
-		nd.chaos = registry.NewChaosBlob(blob, registry.ChaosConfig{
-			ErrRate: errRate,
-			Seed:    seed + int64(i),
-		})
-		nd.reg = registry.New()
-		nd.reg.OnStoreError = func(error) {} // chaos-injected; retries absorb most
-		nd.reg.UseStore(registry.NewStore(registry.NewRetryBlob(nd.chaos, registry.RetryConfig{
-			Seed:  seed + int64(i),
-			Sleep: func(time.Duration) {},
-		})))
-		nd.s = serve.NewServer(nd.reg)
-		nd.s.NodeID = id
-		nd.hs = httptest.NewServer(nd.s)
-		nodes[i] = nd
-	}
 	members := make([]cluster.Node, n)
-	for i, nd := range nodes {
-		members[i] = cluster.Node{ID: nd.id, URL: nd.hs.URL}
+	for i := range nodes {
+		hs := httptest.NewUnstartedServer(nil)
+		nodes[i] = &fleetNode{id: fmt.Sprintf("node-%c", 'a'+i), hs: hs}
+		members[i] = cluster.Node{ID: nodes[i].id, URL: "http://" + hs.Listener.Addr().String()}
 	}
-	for _, nd := range nodes {
-		c, err := cluster.New(cluster.Config{
-			Self:          nd.id,
-			Nodes:         members,
-			Replication:   2,
-			ProbeInterval: 50 * time.Millisecond,
-			ProbeTimeout:  500 * time.Millisecond,
-			DownAfter:     2,
+	for i, nd := range nodes {
+		nd.chaos = registry.NewChaosBlob(blob, registry.ChaosConfig{Seed: seed + int64(i)})
+		node, err := serve.Open(serve.Config{
+			Store:        nd.chaos,
+			Retry:        registry.RetryConfig{Seed: seed + int64(i), Sleep: func(time.Duration) {}},
+			SyncInterval: 100 * time.Millisecond,
+			Cluster: cluster.Config{
+				Self:          nd.id,
+				Nodes:         members,
+				Replication:   2,
+				ProbeInterval: 50 * time.Millisecond,
+				ProbeTimeout:  500 * time.Millisecond,
+				DownAfter:     2,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd.cl = c
-		nd.syn = &cluster.Syncer{Reg: nd.reg, Interval: 100 * time.Millisecond}
-		nd.s.Cluster = c
-		nd.s.Syncer = nd.syn
-	}
-	// Start only once every server is wired: a started node probes its
-	// peers at once, and a peer still being wired would race with it.
-	for _, nd := range nodes {
-		nd.cl.Start()
-		nd.syn.Start()
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.syn.Stop()
-			nd.cl.Stop()
+		nd.chaos.SetErrRate(errRate) // the node boots over a healthy store
+		nd.reg, nd.cl = node.Registry(), node.Cluster()
+		nd.reg.OnStoreError = func(error) {} // chaos-injected; retries absorb most
+		nd.hs.Config.Handler = node
+		nd.hs.Start()
+		t.Cleanup(func() {
 			nd.hs.Close()
-			nd.s.Close()
-		}
-	})
+			node.Close()
+		})
+	}
 	return nodes
 }
 

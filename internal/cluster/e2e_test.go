@@ -24,70 +24,55 @@ import (
 	"nfvxai/internal/serve"
 )
 
-// e2eNode is one in-process cluster member: its own registry and serving
-// stack over the shared bucket, listening on a real socket.
+// e2eNode is one in-process cluster member: a node booted through
+// serve.Open over the shared bucket, listening on a real socket.
 type e2eNode struct {
 	id  string
 	reg *registry.Registry
-	srv *serve.Server
-	hs  *httptest.Server
 	cl  *cluster.Cluster
-	syn *cluster.Syncer
+	hs  *httptest.Server
 }
 
-// newFleet boots n nodes over one shared blob bucket. Servers come up
-// first (so peer URLs exist), then every server is wired to its cluster
-// view and sync loop, and only then do the loops start: a started node
-// probes its peers at once, so wiring a peer after that would race with
-// the peer's health handler reading its Cluster and Syncer. Cleanup tears
-// everything down in reverse.
+// newFleet boots n nodes over one shared blob bucket. The listeners come
+// first, unstarted, so every peer URL exists before any node opens; each
+// node then opens with the full membership and starts serving only once
+// it is wired. Cleanup tears everything down in reverse.
 func newFleet(t testing.TB, n int) []*e2eNode {
 	t.Helper()
 	blob := registry.NewMemBlob()
 	nodes := make([]*e2eNode, n)
-	for i := range nodes {
-		id := fmt.Sprintf("node-%c", 'a'+i)
-		reg := registry.New()
-		reg.OnStoreError = func(err error) { t.Errorf("%s store error: %v", id, err) }
-		reg.UseStore(registry.NewStore(blob))
-		srv := serve.NewServer(reg)
-		srv.NodeID = id
-		srv.Logf = t.Logf
-		nodes[i] = &e2eNode{id: id, reg: reg, srv: srv, hs: httptest.NewServer(srv)}
-	}
 	members := make([]cluster.Node, n)
-	for i, nd := range nodes {
-		members[i] = cluster.Node{ID: nd.id, URL: nd.hs.URL}
+	for i := range nodes {
+		hs := httptest.NewUnstartedServer(nil)
+		nodes[i] = &e2eNode{id: fmt.Sprintf("node-%c", 'a'+i), hs: hs}
+		members[i] = cluster.Node{ID: nodes[i].id, URL: "http://" + hs.Listener.Addr().String()}
 	}
 	for _, nd := range nodes {
-		c, err := cluster.New(cluster.Config{
-			Self:          nd.id,
-			Nodes:         members,
-			Replication:   2,
-			ProbeInterval: 50 * time.Millisecond,
-			ProbeTimeout:  500 * time.Millisecond,
-			DownAfter:     2,
+		node, err := serve.Open(serve.Config{
+			Store:        blob,
+			SyncInterval: 100 * time.Millisecond,
+			Cluster: cluster.Config{
+				Self:          nd.id,
+				Nodes:         members,
+				Replication:   2,
+				ProbeInterval: 50 * time.Millisecond,
+				ProbeTimeout:  500 * time.Millisecond,
+				DownAfter:     2,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		syn := &cluster.Syncer{Reg: nd.reg, Interval: 100 * time.Millisecond}
-		nd.cl, nd.syn = c, syn
-		nd.srv.Cluster = c
-		nd.srv.Syncer = syn
-	}
-	for _, nd := range nodes {
-		nd.cl.Start()
-		nd.syn.Start()
-	}
-	t.Cleanup(func() {
-		for _, nd := range nodes {
-			nd.syn.Stop()
-			nd.cl.Stop()
+		id := nd.id
+		nd.reg, nd.cl = node.Registry(), node.Cluster()
+		nd.reg.OnStoreError = func(err error) { t.Errorf("%s store error: %v", id, err) }
+		nd.hs.Config.Handler = node
+		nd.hs.Start()
+		t.Cleanup(func() {
 			nd.hs.Close()
-			nd.srv.Close()
-		}
-	})
+			node.Close()
+		})
+	}
 	return nodes
 }
 

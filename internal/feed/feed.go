@@ -134,15 +134,24 @@ type Feed struct {
 	done   chan struct{} // nil unless simulating
 }
 
+// Check reports whether Hub.Open would refuse name or opts, before
+// anything is opened or started.
+func Check(name string, opts Options) error {
+	if !core.ValidSegment(name) {
+		return fmt.Errorf("feed: name %q: want one URL path segment of [A-Za-z0-9._-]", name)
+	}
+	if o := opts.withDefaults(); !(o.Rate > 0 && o.Rate <= MaxRate) {
+		return fmt.Errorf("feed: rate %g out of (0, %g]", o.Rate, MaxRate)
+	}
+	return nil
+}
+
 // newFeed builds and (when opts.Simulate) starts a feed.
 func newFeed(name string, spec core.ScenarioSpec, opts Options) (*Feed, error) {
-	if !core.ValidSegment(name) {
-		return nil, fmt.Errorf("feed: name %q: want one URL path segment of [A-Za-z0-9._-]", name)
+	if err := Check(name, opts); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
-	if opts.Rate < 0 || opts.Rate > MaxRate {
-		return nil, fmt.Errorf("feed: rate %g out of (0, %g]", opts.Rate, MaxRate)
-	}
 	spec = spec.WithDefaults()
 	sc, err := spec.Compile()
 	if err != nil {

@@ -50,6 +50,10 @@ const (
 // over the manifest. Scenario specs are registered first (model specs
 // reference them); the manifest default is adopted only when this node
 // has none yet.
+// A boot is the first round, on an empty registry (serve.Open). A
+// record whose artifact fails to load lands in Errors and is carried into
+// later manifest writes until a ready model of its name is persisted, so
+// a transient read error never evicts a model whose artifact is intact.
 func (r *Registry) SyncManifest(now time.Time) (SyncReport, error) {
 	var rep SyncReport
 	st := r.StoreBackend()
@@ -82,6 +86,16 @@ func (r *Registry) SyncManifest(now time.Time) (SyncReport, error) {
 		switch {
 		case err != nil:
 			rep.Errors = append(rep.Errors, RestoreError{Name: rec.Spec.Name, Err: err})
+			r.mu.Lock()
+			e, live := r.models[rec.Spec.Name]
+			_, persisted := r.digests[rec.Spec.Name]
+			if !(live && e.status == StatusReady && persisted) {
+				if r.orphans == nil {
+					r.orphans = map[string]ModelRecord{}
+				}
+				r.orphans[rec.Spec.Name] = rec
+			}
+			r.mu.Unlock()
 		case action == adoptNew:
 			rep.Adopted = append(rep.Adopted, rec.Spec.Name)
 		case action == adoptSwap:

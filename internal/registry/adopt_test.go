@@ -110,9 +110,11 @@ func TestSyncManifestSkipsLocalTraining(t *testing.T) {
 		<-release
 		return storeTestPipeline(t, core.ModelTree, 2), nil
 	}
-	done := make(chan string, 1)
-	r2.NotifyBuilds(done)
 	if _, err := r2.Create(testSpec(name)); err != nil {
+		t.Fatal(err)
+	}
+	built, err := r2.Built(name)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,7 +126,7 @@ func TestSyncManifestSkipsLocalTraining(t *testing.T) {
 		t.Fatalf("training round = %+v, want skip", rep)
 	}
 	close(release)
-	<-done
+	<-built
 }
 
 func TestSyncManifestMissingArtifactIsPerRecord(t *testing.T) {

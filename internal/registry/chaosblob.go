@@ -61,6 +61,14 @@ func NewChaosBlob(inner BlobBackend, cfg ChaosConfig) *ChaosBlob {
 	return &ChaosBlob{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
 
+// SetErrRate changes ErrRate from the next operation on: a test can boot
+// a node over a healthy store, then start the outage.
+func (c *ChaosBlob) SetErrRate(rate float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cfg.ErrRate = rate
+}
+
 // Injected returns how many operations failed by injection; Torn how
 // many writes were silently dropped.
 func (c *ChaosBlob) Injected() uint64 {

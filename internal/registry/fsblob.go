@@ -25,8 +25,9 @@ type FSBlob struct {
 // OpenFSStore opens (creating if needed) a filesystem store rooted at
 // dir: Store's layout over an FSBlob, so artifacts live under
 // <dir>/artifacts/<digest>, the manifest at <dir>/manifest.json, and
-// experiment matrices under <dir>/experiments/<id>.json. Wrap its
-// Backend() (NewStore(NewRetryBlob(st.Backend(), cfg))) for retries.
+// experiment matrices under <dir>/experiments/<id>.json. serve.Open
+// lays the retrying chain over its Backend():
+// NewStore(NewRetryBlob(st.Backend(), cfg)).
 func OpenFSStore(dir string) (*Store, error) {
 	for _, sub := range []string{"", "artifacts", "experiments"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -10,8 +9,9 @@ import (
 
 // UseStore attaches a persistence backend. Every subsequent successful
 // train (synchronous AddReady, background Create build, streaming Swap)
-// writes its artifact and refreshes the manifest; call WarmStart right
-// after UseStore to restore the previous process's state first.
+// writes its artifact and refreshes the manifest. A boot restores the
+// previous process's state by running one SyncManifest round right
+// after UseStore, on the still empty registry.
 func (r *Registry) UseStore(st *Store) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -222,133 +222,12 @@ func mergeManifest(m *Manifest, prev Manifest) {
 	}
 }
 
-// RestoreError names one model that failed to restore during WarmStart.
+// RestoreError names one manifest entry that a SyncManifest round could
+// not install: a model whose artifact is missing or corrupt, or a
+// scenario spec that no longer validates.
 type RestoreError struct {
 	Name string
 	Err  error
-}
-
-// WarmStartReport summarizes what a WarmStart restored. Per-model
-// failures (missing/corrupt/unreadable artifacts) land in Errors while
-// the rest of the registry keeps serving — one bad artifact must not
-// block the process from coming up with the others.
-type WarmStartReport struct {
-	// Models are the restored model names, sorted by manifest order.
-	Models []string
-	// Scenarios counts scenario specs restored (builtins excluded).
-	Scenarios int
-	// Default is the restored default model name ("" if none).
-	Default string
-	// Errors lists models whose artifacts failed to restore.
-	Errors []RestoreError
-}
-
-// WarmStart restores the registry from the attached store's manifest:
-// runtime-registered scenarios first (model specs reference them), then
-// every persisted model as a ready entry with its original lifecycle
-// timestamps and retrain count, then the default alias. A manifest
-// written by an incompatible schema version is ErrManifestVersion; a
-// missing manifest is an empty (fresh-store) report.
-func (r *Registry) WarmStart(now time.Time) (WarmStartReport, error) {
-	var rep WarmStartReport
-	st := r.StoreBackend()
-	if st == nil {
-		return rep, ErrNoStore
-	}
-	m, ok, err := st.GetManifest()
-	if err != nil {
-		return rep, err
-	}
-	if !ok {
-		return rep, nil
-	}
-	if m.Version != ManifestVersion {
-		return rep, fmt.Errorf("%w: %d (want %d)", ErrManifestVersion, m.Version, ManifestVersion)
-	}
-	for _, sp := range m.Scenarios {
-		if _, err := r.Scenarios.Register(sp); err != nil {
-			if errors.Is(err, core.ErrScenarioExists) {
-				continue // builtin or already restored
-			}
-			rep.Errors = append(rep.Errors, RestoreError{Name: "scenario/" + sp.Name, Err: err})
-			continue
-		}
-		rep.Scenarios++
-	}
-	for _, rec := range m.Models {
-		name := rec.Spec.Name
-		if err := r.restoreModel(rec); err != nil {
-			rep.Errors = append(rep.Errors, RestoreError{Name: name, Err: err})
-			// Keep the record: future manifest rewrites must not evict a
-			// model just because one boot could not read its artifact.
-			// (Unless a ready, persisted pipeline already owns the name —
-			// then the current state supersedes the stale record.)
-			r.mu.Lock()
-			if r.orphans == nil {
-				r.orphans = map[string]ModelRecord{}
-			}
-			e, live := r.models[name]
-			_, persisted := r.digests[name]
-			if !(live && e.status == StatusReady && persisted) {
-				r.orphans[name] = rec
-			}
-			r.mu.Unlock()
-			continue
-		}
-		rep.Models = append(rep.Models, name)
-	}
-	if m.Default != "" {
-		r.mu.Lock()
-		if _, ok := r.models[m.Default]; ok {
-			r.defaultKey = m.Default
-		}
-		rep.Default = r.defaultKey
-		r.mu.Unlock()
-	}
-	return rep, nil
-}
-
-// restoreModel loads one manifest record's artifact into a ready entry,
-// preserving its lifecycle metadata. The entry's digest is recorded so a
-// later manifest rewrite keeps pointing at the same artifact.
-func (r *Registry) restoreModel(rec ModelRecord) error {
-	st := r.StoreBackend()
-	data, err := st.GetArtifact(rec.Digest)
-	if err != nil {
-		return err
-	}
-	sp, p, err := DecodeArtifact(data)
-	if err != nil {
-		return err
-	}
-	if sp.Name != rec.Spec.Name {
-		return fmt.Errorf("%w: artifact spec name %q != manifest record %q", ErrCorruptArtifact, sp.Name, rec.Spec.Name)
-	}
-	if err := ValidateName(sp.Name); err != nil {
-		return fmt.Errorf("%w: %w", ErrCorruptArtifact, err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, exists := r.models[sp.Name]; exists {
-		return fmt.Errorf("registry: %q: %w", sp.Name, ErrExists)
-	}
-	r.attachCacheLocked(p)
-	r.models[sp.Name] = &entry{
-		spec:      sp,
-		status:    StatusReady,
-		createdAt: rec.CreatedAt,
-		readyAt:   rec.ReadyAt,
-		retrains:  rec.Retrains,
-		pipeline:  p,
-	}
-	if r.digests == nil {
-		r.digests = map[string]string{}
-	}
-	r.digests[sp.Name] = rec.Digest
-	if r.defaultKey == "" {
-		r.defaultKey = sp.Name
-	}
-	return nil
 }
 
 // ExportArtifact serializes the named ready model into a self-contained

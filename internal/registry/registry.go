@@ -68,8 +68,8 @@ type Spec struct {
 	ShapSamples int `json:"shap_samples,omitempty"`
 }
 
-// withDefaults normalizes optional fields and derives the name.
-func (sp Spec) withDefaults() Spec {
+// WithDefaults normalizes optional fields and derives the name.
+func (sp Spec) WithDefaults() Spec {
 	if sp.Hours <= 0 {
 		sp.Hours = 24
 	}
@@ -217,7 +217,7 @@ func TargetFor(name string) (telemetry.TargetKind, error) {
 // is resolved here, at build time, so a spec can reference a scenario
 // registered after the process started.
 func (r *Registry) BuildPipeline(sp Spec) (*core.Pipeline, error) {
-	sp = sp.withDefaults()
+	sp = sp.WithDefaults()
 	sc, err := r.Scenarios.Scenario(sp.Scenario)
 	if err != nil {
 		return nil, err
@@ -267,6 +267,9 @@ type entry struct {
 	readyAt   time.Time
 	retrains  int
 	pipeline  *core.Pipeline
+	// built is closed when Create's background build finishes; nil for
+	// an entry that never had one.
+	built chan struct{}
 }
 
 // Registry is the concurrent-safe model catalog.
@@ -282,7 +285,7 @@ type Registry struct {
 
 	// OnStoreError observes asynchronous persistence failures (artifact
 	// or manifest writes that happen off the request path). nil drops
-	// them; explaind logs them. Set before concurrent use.
+	// them; serve.Open logs them. Set before concurrent use.
 	OnStoreError func(error)
 
 	mu         sync.RWMutex
@@ -292,11 +295,11 @@ type Registry struct {
 	// digests tracks each persisted model's current artifact address.
 	store   *Store
 	digests map[string]string
-	// orphans are manifest records whose artifacts failed to restore at
-	// WarmStart (e.g. a transient I/O error). They are carried forward
-	// into every manifest rewrite so a blip never permanently evicts a
-	// model whose artifact is still intact on disk; a live model taking
-	// the same name supersedes its orphan.
+	// orphans are manifest records whose artifacts failed to load in a
+	// SyncManifest round (e.g. a transient I/O error). They are carried
+	// forward into every manifest rewrite so a blip never permanently
+	// evicts a model whose artifact is still intact on disk; a live model
+	// taking the same name supersedes its orphan.
 	orphans map[string]ModelRecord
 	// storeMu serializes manifest writes so concurrent retrains cannot
 	// interleave versions.
@@ -304,9 +307,6 @@ type Registry struct {
 	// xcache, when non-nil, is the explanation result cache attached to
 	// every installed pipeline (UseExplainCache).
 	xcache *xcache.Cache
-	// done, when non-nil, receives each finished background build's name
-	// (tests use it to wait without polling).
-	done chan<- string
 }
 
 // New returns an empty registry using the production builder and the
@@ -315,12 +315,22 @@ func New() *Registry {
 	return &Registry{models: map[string]*entry{}, Scenarios: core.NewScenarioRegistry()}
 }
 
-// NotifyBuilds routes every finished background build's model name to ch.
-// Call before Create; sends are blocking, so the channel must be drained.
-func (r *Registry) NotifyBuilds(ch chan<- string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.done = ch
+// Built returns a channel that is closed once the named model's
+// background build has finished and, when it succeeded, its artifact is
+// in the store. For a model with no build running it is closed already.
+func (r *Registry) Built(name string) (<-chan struct{}, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.models[name]
+	if !ok {
+		return nil, fmt.Errorf("registry: %q: %w", name, ErrNotFound)
+	}
+	if e.built == nil { // installed ready, restored or adopted: never built here
+		c := make(chan struct{})
+		close(c)
+		return c, nil
+	}
+	return e.built, nil
 }
 
 // ErrExists reports a Create for a name already registered.
@@ -335,10 +345,10 @@ var ErrNotReady = errors.New("model not ready")
 
 // AddReady registers an already-trained pipeline under sp.Name (or the
 // derived default name) and returns the registered name. The first model
-// added becomes the default. Used by explaind for the synchronously
+// added becomes the default. Used by serve.Open for the synchronously
 // trained startup model.
 func (r *Registry) AddReady(sp Spec, p *core.Pipeline, now time.Time) (string, error) {
-	sp = sp.withDefaults()
+	sp = sp.WithDefaults()
 	if err := ValidateName(sp.Name); err != nil {
 		return "", err
 	}
@@ -371,7 +381,7 @@ func (r *Registry) Create(sp Spec) (Entry, error) {
 	if err := r.ValidateSpec(sp); err != nil {
 		return Entry{}, err
 	}
-	sp = sp.withDefaults()
+	sp = sp.WithDefaults()
 	if err := ValidateName(sp.Name); err != nil {
 		return Entry{}, err
 	}
@@ -380,7 +390,7 @@ func (r *Registry) Create(sp Spec) (Entry, error) {
 		r.mu.Unlock()
 		return Entry{}, fmt.Errorf("registry: %q: %w", sp.Name, ErrExists)
 	}
-	e := &entry{spec: sp, status: StatusTraining, createdAt: time.Now()}
+	e := &entry{spec: sp, status: StatusTraining, createdAt: time.Now(), built: make(chan struct{})}
 	r.models[sp.Name] = e
 	if r.defaultKey == "" {
 		r.defaultKey = sp.Name
@@ -403,17 +413,14 @@ func (r *Registry) Create(sp Spec) (Entry, error) {
 			r.attachCacheLocked(p)
 			e.status, e.pipeline, e.readyAt = StatusReady, p, time.Now()
 		}
-		done := r.done
 		r.mu.Unlock()
 		if err == nil {
-			// The artifact lands before the completion notification, so a
-			// test (or operator) that observes "ready" can already restart
-			// from the store.
+			// The artifact lands before Built's channel closes, so a
+			// waiter that observes "ready" can already restart from the
+			// store.
 			r.reportStoreErr(r.persistModel(sp.Name))
 		}
-		if done != nil {
-			done <- sp.Name
-		}
+		close(e.built)
 	}()
 	return snap, nil
 }

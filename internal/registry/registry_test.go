@@ -25,21 +25,20 @@ func (g *gatedBuilder) build(Spec) (*core.Pipeline, error) {
 	return &core.Pipeline{}, nil
 }
 
-func newTestRegistry(g *gatedBuilder) (*Registry, chan string) {
+func newTestRegistry(g *gatedBuilder) *Registry {
 	r := New()
 	r.Builder = g.build
-	done := make(chan string, 8)
-	r.NotifyBuilds(done)
-	return r, done
+	return r
 }
 
-func waitDone(t *testing.T, done chan string, want string) {
+func waitDone(t *testing.T, r *Registry, want string) {
 	t.Helper()
+	built, err := r.Built(want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	select {
-	case name := <-done:
-		if name != want {
-			t.Fatalf("build finished for %q, want %q", name, want)
-		}
+	case <-built:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("timed out waiting for %q build", want)
 	}
@@ -71,7 +70,7 @@ func TestParseSpec(t *testing.T) {
 
 func TestLifecycleTrainingToReady(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{})}
-	r, done := newTestRegistry(g)
+	r := newTestRegistry(g)
 
 	e, err := r.Create(Spec{Scenario: "web", Model: "rf", Target: "util"})
 	if err != nil {
@@ -88,9 +87,21 @@ func TestLifecycleTrainingToReady(t *testing.T) {
 	if err != nil || got.Status != StatusTraining {
 		t.Fatalf("Get during training: %+v, %v", got, err)
 	}
+	built, err := r.Built("web/rf/util")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-built:
+		t.Fatal("Built closed while the build is still running")
+	default:
+	}
+	if _, err := r.Built("nope"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Built of an unknown model: %v", err)
+	}
 
 	close(g.release)
-	waitDone(t, done, "web/rf/util")
+	waitDone(t, r, "web/rf/util")
 
 	got, err = r.Get("web/rf/util")
 	if err != nil || got.Status != StatusReady || got.Pipeline == nil {
@@ -106,12 +117,12 @@ func TestLifecycleTrainingToReady(t *testing.T) {
 
 func TestLifecycleFailed(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{}), err: errors.New("sim exploded")}
-	r, done := newTestRegistry(g)
+	r := newTestRegistry(g)
 	if _, err := r.Create(Spec{Scenario: "nat", Model: "gbt", Target: "violation"}); err != nil {
 		t.Fatal(err)
 	}
 	close(g.release)
-	waitDone(t, done, "nat/gbt/violation")
+	waitDone(t, r, "nat/gbt/violation")
 	got, err := r.Get("nat/gbt/violation")
 	if err != nil || got.Status != StatusFailed || got.Err != "sim exploded" {
 		t.Fatalf("failed entry: %+v, %v", got, err)
@@ -132,7 +143,7 @@ func TestLifecycleFailed(t *testing.T) {
 		t.Fatalf("recreate status %v", e.Status)
 	}
 	close(g2.release)
-	waitDone(t, done, "nat/gbt/violation")
+	waitDone(t, r, "nat/gbt/violation")
 	if p, err := r.Lookup("nat/gbt/violation"); err != nil || p == nil {
 		t.Fatalf("lookup after retry: %v", err)
 	}
@@ -162,7 +173,7 @@ func TestValidateName(t *testing.T) {
 
 func TestDuplicateAndUnknown(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{})}
-	r, _ := newTestRegistry(g)
+	r := newTestRegistry(g)
 	defer close(g.release)
 	if _, err := r.Create(Spec{Scenario: "web", Model: "rf", Target: "util"}); err != nil {
 		t.Fatal(err)
@@ -224,7 +235,7 @@ func TestAddReadyAndDefault(t *testing.T) {
 // completes; run with -race this guards the hot-swap path.
 func TestConcurrentReadsDuringSwap(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{})}
-	r, done := newTestRegistry(g)
+	r := newTestRegistry(g)
 	if _, err := r.Create(Spec{Scenario: "web", Model: "rf", Target: "util"}); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +261,7 @@ func TestConcurrentReadsDuringSwap(t *testing.T) {
 		}()
 	}
 	close(g.release)
-	waitDone(t, done, "web/rf/util")
+	waitDone(t, r, "web/rf/util")
 	close(stop)
 	wg.Wait()
 	if p, err := r.Lookup("web/rf/util"); err != nil || p == nil {
@@ -298,7 +309,7 @@ func TestParseSpecErrorPaths(t *testing.T) {
 // registered after the registry was built — the POST /v1/scenarios path.
 func TestCreateWithRuntimeScenario(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{})}
-	r, done := newTestRegistry(g)
+	r := newTestRegistry(g)
 	sp := Spec{Scenario: "edge", Model: "linear", Target: "util"}
 	if _, err := r.Create(sp); err == nil {
 		t.Fatal("unregistered scenario accepted")
@@ -315,7 +326,7 @@ func TestCreateWithRuntimeScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(g.release)
-	waitDone(t, done, "edge/linear/util")
+	waitDone(t, r, "edge/linear/util")
 	if _, err := r.Lookup("edge/linear/util"); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +334,7 @@ func TestCreateWithRuntimeScenario(t *testing.T) {
 
 func TestSwapLifecycle(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{})}
-	r, done := newTestRegistry(g)
+	r := newTestRegistry(g)
 	if _, err := r.Swap("nope", &core.Pipeline{}, time.Now()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("swap unknown: %v", err)
 	}
@@ -335,7 +346,7 @@ func TestSwapLifecycle(t *testing.T) {
 		t.Fatalf("swap while training: %v", err)
 	}
 	close(g.release)
-	waitDone(t, done, "web/rf/util")
+	waitDone(t, r, "web/rf/util")
 	old, err := r.Lookup("web/rf/util")
 	if err != nil {
 		t.Fatal(err)

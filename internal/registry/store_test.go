@@ -99,14 +99,14 @@ func TestWarmStartRestoresModelsScenariosAndDefault(t *testing.T) {
 	// Second process: fresh registry warm-started from the same store.
 	r2 := New()
 	r2.UseStore(st)
-	rep, err := r2.WarmStart(time.Now())
+	rep, err := r2.SyncManifest(time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Errors) != 0 {
 		t.Fatalf("restore errors: %v", rep.Errors)
 	}
-	if len(rep.Models) != 2 || rep.Scenarios != 1 {
+	if len(rep.Adopted) != 2 || rep.Scenarios != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
 	if r2.DefaultName() != "m/b" {
@@ -152,7 +152,7 @@ func TestWarmStartSwapPersistsRetrainedPipeline(t *testing.T) {
 
 	r2 := New()
 	r2.UseStore(st)
-	rep, err := r2.WarmStart(time.Now())
+	rep, err := r2.SyncManifest(time.Now())
 	if err != nil || len(rep.Errors) != 0 {
 		t.Fatalf("warm start: %v %v", err, rep.Errors)
 	}
@@ -202,7 +202,7 @@ func TestCorruptionTruncatedArtifact(t *testing.T) {
 	}
 	r := New()
 	r.UseStore(st)
-	rep, err := r.WarmStart(time.Now())
+	rep, err := r.SyncManifest(time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestCorruptionManifestVersionMismatch(t *testing.T) {
 	}
 	r := New()
 	r.UseStore(st)
-	if _, err := r.WarmStart(time.Now()); !errors.Is(err, ErrManifestVersion) {
+	if _, err := r.SyncManifest(time.Now()); !errors.Is(err, ErrManifestVersion) {
 		t.Fatalf("err = %v, want ErrManifestVersion", err)
 	}
 	if r.Len() != 0 {
@@ -268,9 +268,19 @@ func TestCorruptionUnknownModelKind(t *testing.T) {
 }
 
 // TestCorruptionLeavesPreviousPipelineServing: a registry that already
-// serves a model keeps serving it when a later warm-start-style restore
-// of the same name fails (the corrupt artifact is skipped, not swapped).
+// serves a model keeps serving it when a later sync round's restore of
+// the same name fails (the corrupt artifact is skipped, not swapped).
+// The live model is trained before the store is written, so the stored
+// record is the newer one and the round does read its artifact.
 func TestCorruptionLeavesPreviousPipelineServing(t *testing.T) {
+	// This registry already serves "good" (trained in-process); the
+	// corrupt store must not disturb it.
+	r := New()
+	live := storeTestPipeline(t, core.ModelLinear, 7)
+	if _, err := r.AddReady(testSpec("good"), live, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+
 	st, dir := corruptionFixture(t)
 	m, _, err := st.GetManifest()
 	if err != nil {
@@ -280,16 +290,8 @@ func TestCorruptionLeavesPreviousPipelineServing(t *testing.T) {
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	// This registry already serves "good" (trained in-process); the
-	// corrupt store must not disturb it.
-	r := New()
-	live := storeTestPipeline(t, core.ModelLinear, 7)
-	if _, err := r.AddReady(testSpec("good"), live, time.Now()); err != nil {
-		t.Fatal(err)
-	}
 	r.UseStore(st)
-	rep, err := r.WarmStart(time.Now())
+	rep, err := r.SyncManifest(time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +342,8 @@ func TestTransientRestoreFailureKeepsManifestRecord(t *testing.T) {
 
 	r2 := New()
 	r2.UseStore(st)
-	rep, err := r2.WarmStart(time.Now())
-	if err != nil || len(rep.Errors) != 1 || len(rep.Models) != 1 {
+	rep, err := r2.SyncManifest(time.Now())
+	if err != nil || len(rep.Errors) != 1 || len(rep.Adopted) != 1 {
 		t.Fatalf("warm start: %v, %+v", err, rep)
 	}
 	// A manifest rewrite (retrain of A) must NOT evict B's record.
@@ -368,9 +370,54 @@ func TestTransientRestoreFailureKeepsManifestRecord(t *testing.T) {
 	}
 	r3 := New()
 	r3.UseStore(st)
-	rep3, err := r3.WarmStart(time.Now())
-	if err != nil || len(rep3.Errors) != 0 || len(rep3.Models) != 2 {
+	rep3, err := r3.SyncManifest(time.Now())
+	if err != nil || len(rep3.Errors) != 0 || len(rep3.Adopted) != 2 {
 		t.Fatalf("recovered warm start: %v, %+v", err, rep3)
+	}
+}
+
+// TestOrphanRecordSurvivesUnreadableManifest pins the orphan
+// carry-forward itself. A rewrite normally merges the previous manifest,
+// which already keeps a record this node never loaded; when that
+// manifest cannot be read, only the orphan keeps the record of a model
+// whose artifact failed to load in the sync round.
+func TestOrphanRecordSurvivesUnreadableManifest(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := New()
+	r1.UseStore(st)
+	if _, err := r1.AddReady(testSpec("keep/a"), storeTestPipeline(t, core.ModelTree, 1), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r1.AddReady(testSpec("keep/b"), storeTestPipeline(t, core.ModelTree, 2), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	digB := r1.ArtifactDigest("keep/b")
+	path := filepath.Join(dir, "artifacts", digB)
+	if err := os.Rename(path, path+".aside"); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := New()
+	r2.UseStore(st)
+	if rep, err := r2.SyncManifest(time.Now()); err != nil || len(rep.Errors) != 1 || len(rep.Adopted) != 1 {
+		t.Fatalf("sync round: %v, %+v", err, rep)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.Swap("keep/a", storeTestPipeline(t, core.ModelTree, 9), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := st.GetManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(m.Models, func(rec ModelRecord) bool { return rec.Spec.Name == "keep/b" && rec.Digest == digB }) {
+		t.Fatalf("the rewrite dropped keep/b's record: %+v", m.Models)
 	}
 }
 
@@ -404,8 +451,8 @@ func TestSwapGCsSupersededArtifacts(t *testing.T) {
 	// And the survivor is the live one: a warm start serves the last swap.
 	r2 := New()
 	r2.UseStore(st)
-	rep, err := r2.WarmStart(time.Now())
-	if err != nil || len(rep.Errors) != 0 || len(rep.Models) != 1 {
+	rep, err := r2.SyncManifest(time.Now())
+	if err != nil || len(rep.Errors) != 0 || len(rep.Adopted) != 1 {
 		t.Fatalf("warm start after GC: %v %+v", err, rep)
 	}
 	e, _ := r2.Get("m")
@@ -499,7 +546,7 @@ func TestWarmStartRefusesOverCapScenarioName(t *testing.T) {
 	}
 	r := New()
 	r.UseStore(st)
-	rep, err := r.WarmStart(time.Now())
+	rep, err := r.SyncManifest(time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestTier2AcrossRestartOnDisk(t *testing.T) {
 	}
 
 	rB, cB := boot()
-	if rep, err := rB.WarmStart(time.Now()); err != nil || len(rep.Errors) != 0 {
+	if rep, err := rB.SyncManifest(time.Now()); err != nil || len(rep.Errors) != 0 {
 		t.Fatalf("warm start: %v %v", err, rep.Errors)
 	}
 	pB, err := rB.Lookup("m")

@@ -11,6 +11,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"time"
@@ -49,14 +50,6 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// logf routes proxy/cluster log lines to the embedder's logger (explaind
-// sets Logf to log.Printf); nil drops them.
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
 // proxyClient lazily builds the HTTP client used for owner hops: a tight
 // dial timeout so a dead owner fails fast into local fallback, but no
 // overall timeout — explanation requests legitimately run long and are
@@ -86,7 +79,7 @@ var hopByHopHeaders = []string{"Connection", "Keep-Alive", "Transfer-Encoding", 
 // every remote owner is down (fallback: the sync loop keeps every node
 // able to serve every model, one interval stale at worst).
 func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, name, action string) bool {
-	c := s.Cluster
+	c := s.ring
 	if c == nil || name == "" {
 		return false
 	}
@@ -102,7 +95,7 @@ func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, name, acti
 	target, decision := c.Route(name)
 	if decision != cluster.RouteProxy {
 		if decision == cluster.RouteFallback {
-			s.logf("cluster: all owners of %q down, serving locally (rid=%s)", name, r.Header.Get(HeaderRequestID))
+			log.Printf("cluster: all owners of %q down, serving locally (rid=%s)", name, r.Header.Get(HeaderRequestID))
 		}
 		return false
 	}
@@ -132,7 +125,7 @@ func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, name, acti
 		// immediately (the probe loop would take DownAfter intervals to
 		// notice) and serve from the local synced registry.
 		c.ReportFailure(target.ID, err)
-		s.logf("cluster: proxy %s %s -> %s failed: %v; falling back to local (rid=%s)",
+		log.Printf("cluster: proxy %s %s -> %s failed: %v; falling back to local (rid=%s)",
 			r.Method, r.URL.Path, target.ID, err, r.Header.Get(HeaderRequestID))
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		return false
@@ -148,7 +141,7 @@ func (s *Server) proxyToOwner(w http.ResponseWriter, r *http.Request, name, acti
 	}
 	w.WriteHeader(resp.StatusCode)
 	if _, err := io.Copy(w, resp.Body); err != nil {
-		s.logf("cluster: proxy %s %s -> %s: response copy: %v (rid=%s)",
+		log.Printf("cluster: proxy %s %s -> %s: response copy: %v (rid=%s)",
 			r.Method, r.URL.Path, target.ID, err, r.Header.Get(HeaderRequestID))
 	}
 	return true

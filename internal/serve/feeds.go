@@ -153,21 +153,26 @@ func (s *Server) handleCreateFeed(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	sp, err := s.reg.Scenarios.Lookup(req.Scenario)
-	if err != nil {
-		writeErr(w, badRequest{err})
-		return
-	}
-	opts := feed.Options{Simulate: true, Seed: req.Seed, Rate: req.Rate, Buffer: req.Buffer, Fault: req.Fault}
-	if req.Simulate != nil {
-		opts.Simulate = *req.Simulate
-	}
-	f, err := s.hub.Open(req.Name, sp, opts)
+	f, err := s.openFeed(req)
 	if err != nil {
 		writeErr(w, badRequest{err})
 		return
 	}
 	writeJSON(w, http.StatusCreated, s.feedInfo(f))
+}
+
+// openFeed opens the feed req describes, for POST /v1/feeds and for the
+// boot feeds of Open.
+func (s *Server) openFeed(req FeedRequest) (*feed.Feed, error) {
+	sp, err := s.reg.Scenarios.Lookup(req.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	opts := feed.Options{Simulate: true, Seed: req.Seed, Rate: req.Rate, Buffer: req.Buffer, Fault: req.Fault}
+	if req.Simulate != nil {
+		opts.Simulate = *req.Simulate
+	}
+	return s.hub.Open(req.Name, sp, opts)
 }
 
 func (s *Server) handleGetFeed(w http.ResponseWriter, r *http.Request) {

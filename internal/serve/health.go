@@ -92,7 +92,7 @@ type ClusterHealth struct {
 // clusterHealth assembles the ClusterHealth block (nil when the server
 // is not clustered).
 func (s *Server) clusterHealth() *ClusterHealth {
-	c := s.Cluster
+	c := s.ring
 	if c == nil {
 		return nil
 	}
@@ -116,8 +116,8 @@ func (s *Server) clusterHealth() *ClusterHealth {
 			}
 		}
 	}
-	if s.Syncer != nil {
-		st := s.Syncer.Status()
+	if s.syncer != nil {
+		st := s.syncer.Status()
 		ch.Sync = &st
 	}
 	return ch

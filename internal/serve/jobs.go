@@ -170,9 +170,8 @@ func newJobStore() *jobStore {
 	return &jobStore{jobs: map[string]*job{}}
 }
 
-// NotifyJobs routes every finished job's id to ch, mirroring
-// registry.NotifyBuilds. Call before submitting; sends are blocking, so
-// the channel must be drained.
+// NotifyJobs routes every finished job's id to ch. Call before
+// submitting; sends are blocking, so the channel must be drained.
 func (s *Server) NotifyJobs(ch chan<- string) {
 	s.jobs.mu.Lock()
 	defer s.jobs.mu.Unlock()

@@ -16,65 +16,115 @@ import (
 	"nfvxai/internal/registry"
 )
 
-// storeServer builds a server over a store-backed registry holding the
-// shared test pipeline as "web/rf/util".
-func storeServer(t *testing.T, st *registry.Store) (*Server, *httptest.Server) {
+// storeServer boots a node through Open over the store bucket st (no
+// store when nil) and serves it. The node holds the shared test pipeline
+// as "web/rf/util" unless the store restored that model.
+func storeServer(t *testing.T, st registry.BlobBackend) (*Node, *httptest.Server) {
 	t.Helper()
-	reg := registry.New()
-	reg.OnStoreError = func(err error) { t.Errorf("store error: %v", err) }
-	if st != nil {
-		reg.UseStore(st)
-		if _, err := reg.WarmStart(time.Now()); err != nil {
-			t.Fatal(err)
-		}
+	n, err := Open(Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
 	}
+	reg := n.Registry()
+	reg.OnStoreError = func(err error) { t.Errorf("store error: %v", err) }
 	if _, err := reg.Get("web/rf/util"); err != nil {
 		sp := registry.Spec{Scenario: "web", Model: "rf", Target: "util", Hours: 1, Seed: 2}
 		if _, err := reg.AddReady(sp, pipeline(t), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := NewServer(reg)
-	return s, httptest.NewServer(s)
+	return n, httptest.NewServer(n)
 }
 
-// TestColdWarmRestartPredictParity is the kill-and-restart smoke: train
-// under one server, tear everything down, warm-start a second server
-// from the same store, and require byte-identical predictions.
+// TestColdWarmRestartPredictParity is the kill-and-restart smoke: a node
+// booted through Open trains two models into a filesystem store and is
+// torn down, and a second node booted from the same store must answer
+// with the same bytes. Equal created_at, ready_at and retrains in the
+// model list and in each model's info show that the second boot restored
+// the models instead of training them; the default alias comes back from
+// the store; predictions match bit for bit.
 func TestColdWarmRestartPredictParity(t *testing.T) {
 	st, err := registry.OpenFSStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, srv1 := storeServer(t, st)
+	cfg := Config{
+		Store: st.Backend(),
+		Models: []registry.Spec{
+			{Name: "web/rf/util", Scenario: "web", Model: "rf", Target: "util", Hours: 1, Seed: 2},
+			{Name: "web/linear/util", Scenario: "web", Model: "linear", Target: "util", Hours: 1, Seed: 2},
+		},
+		Default: "web/linear/util", // a background build
+	}
+	boot := func() (*Node, *httptest.Server) {
+		t.Helper()
+		n, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := n.Registry().Built("web/linear/util")
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-built:
+		case <-time.After(60 * time.Second):
+			t.Fatal("background build did not finish")
+		}
+		return n, httptest.NewServer(n)
+	}
+	read := func(srv *httptest.Server, path string) []byte {
+		t.Helper()
+		resp := getJSON(t, srv, path)
+		defer resp.Body.Close()
+		wantStatus(t, resp, http.StatusOK)
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	paths := []string{"/v1/models", "/v1/models/web/rf/util", "/v1/models/web/linear/util"}
+
+	n1, srv1 := boot()
+	cold := map[string][]byte{}
+	for _, path := range paths {
+		cold[path] = read(srv1, path)
+	}
 	body := map[string]any{"instances": pipeline(t).Test.X[:8]}
 	resp := postJSON(t, srv1, "/v1/models/web/rf/util/predict", body)
 	wantStatus(t, resp, http.StatusOK)
-	cold := decode[BatchPredictResponse](t, resp)
+	coldPred := decode[BatchPredictResponse](t, resp)
 	srv1.Close()
-	s1.Close()
+	n1.Close()
 
-	// "Killed and restarted": a brand new registry and server, warm
-	// started from the store only.
-	s2, srv2 := storeServer(t, st)
+	// "Killed and restarted": a brand new node over the same store, with
+	// no -default, so the alias can only come from the store.
+	cfg.Default = ""
+	n2, srv2 := boot()
 	defer srv2.Close()
-	defer s2.Close()
-	if s2.Registry().Len() != 1 {
-		t.Fatalf("warm registry has %d models", s2.Registry().Len())
+	defer n2.Close()
+	for _, path := range paths {
+		if warm := read(srv2, path); !bytes.Equal(warm, cold[path]) {
+			t.Errorf("GET %s across the restart:\ncold %s\nwarm %s", path, cold[path], warm)
+		}
+	}
+	if got := n2.Registry().DefaultName(); got != "web/linear/util" {
+		t.Errorf("default after restart = %q, want web/linear/util", got)
 	}
 	resp = postJSON(t, srv2, "/v1/models/web/rf/util/predict", body)
 	wantStatus(t, resp, http.StatusOK)
-	warm := decode[BatchPredictResponse](t, resp)
-	if len(cold.Predictions) != len(warm.Predictions) {
+	warmPred := decode[BatchPredictResponse](t, resp)
+	if len(coldPred.Predictions) != len(warmPred.Predictions) {
 		t.Fatal("prediction count differs")
 	}
-	for i := range cold.Predictions {
-		if math.Float64bits(cold.Predictions[i]) != math.Float64bits(warm.Predictions[i]) {
-			t.Fatalf("prediction %d: %v != %v", i, warm.Predictions[i], cold.Predictions[i])
+	for i := range coldPred.Predictions {
+		if math.Float64bits(coldPred.Predictions[i]) != math.Float64bits(warmPred.Predictions[i]) {
+			t.Fatalf("prediction %d: %v != %v", i, warmPred.Predictions[i], coldPred.Predictions[i])
 		}
 	}
 
-	// Explanations survive the restart bit-for-bit too.
+	// Explanations survive the restart too.
 	explain := map[string]any{"features": pipeline(t).Test.X[0], "topk": 3}
 	r1 := postJSON(t, srv2, "/v1/models/web/rf/util/explain", explain)
 	wantStatus(t, r1, http.StatusOK)
@@ -148,7 +198,7 @@ func TestExperimentsAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, srv := storeServer(t, st)
+	s, srv := storeServer(t, st.Backend())
 	defer srv.Close()
 	defer s.Close()
 	jobDone := make(chan string, 8)
@@ -196,7 +246,7 @@ func TestExperimentsAPI(t *testing.T) {
 
 	// The matrix was persisted: a fresh server over the same store serves
 	// it even though its job table is empty.
-	s2, srv2 := storeServer(t, st)
+	s2, srv2 := storeServer(t, st.Backend())
 	defer srv2.Close()
 	defer s2.Close()
 	resp = getJSON(t, srv2, "/v1/experiments")
@@ -263,7 +313,7 @@ func TestScenarioRegistrationPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, srv1 := storeServer(t, st)
+	s1, srv1 := storeServer(t, st.Backend())
 	spec := core.WebScenarioSpec()
 	spec.Name = "runtime-web"
 	resp := postJSON(t, srv1, "/v1/scenarios", spec)
@@ -272,7 +322,7 @@ func TestScenarioRegistrationPersists(t *testing.T) {
 	srv1.Close()
 	s1.Close()
 
-	s2, srv2 := storeServer(t, st)
+	s2, srv2 := storeServer(t, st.Backend())
 	defer srv2.Close()
 	defer s2.Close()
 	resp = getJSON(t, srv2, "/v1/scenarios/runtime-web")
@@ -291,7 +341,7 @@ func TestExperimentIDsSurviveRestart(t *testing.T) {
 	if err := st.PutExperiment("job-000003", []byte(`{"spec":{},"cells":[]}`)); err != nil {
 		t.Fatal(err)
 	}
-	s, srv := storeServer(t, st)
+	s, srv := storeServer(t, st.Backend())
 	defer srv.Close()
 	defer s.Close()
 	done := make(chan string, 4)

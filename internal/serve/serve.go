@@ -94,19 +94,18 @@ type Server struct {
 	AdmitQueue  int
 	AdmitWait   time.Duration
 
-	// Cluster plane (cluster.go): when Cluster is non-nil this server is
-	// one node of a sharded fleet — model-scoped requests are
-	// reverse-proxied to their consistent-hash owner, and /healthz
-	// reports ring ownership, peer liveness and sync lag. NodeID names
-	// this node in X-Served-By and health replies (set it even without a
-	// Cluster to tell single nodes apart behind a load balancer). Syncer,
-	// when set, is only reported on — explaind owns its lifecycle. Logf
-	// receives proxy/cluster log lines (nil drops them). All four are set
-	// before the first request.
-	Cluster *cluster.Cluster
-	Syncer  *cluster.Syncer
-	NodeID  string
-	Logf    func(format string, args ...any)
+	// NodeID names this node in X-Served-By and health replies, with or
+	// without a ring, so single nodes can be told apart behind a load
+	// balancer. Set before the first request.
+	NodeID string
+
+	// Cluster plane (cluster.go), wired only by Open: with a ring this
+	// server is one node of a sharded fleet — model-scoped requests are
+	// reverse-proxied to their consistent-hash owner (logging failed hops
+	// and fallbacks), and /healthz reports ring ownership, peer liveness
+	// and the sync loop's lag.
+	ring   *cluster.Cluster
+	syncer *cluster.Syncer
 
 	proxyOnce sync.Once
 	proxy     *http.Client
@@ -195,9 +194,6 @@ func NewServer(reg *registry.Registry) *Server {
 	s.mux.HandleFunc("POST /whatif", s.aliasPost(s.handleWhatIf))
 	return s
 }
-
-// Hub returns the server's feed hub (explaind uses it for -feed flags).
-func (s *Server) Hub() *feed.Hub { return s.hub }
 
 // Close shuts the serving planes down in dependency order: feeds stop
 // first (draining the attached monitors, so no new drift-retrain jobs

@@ -727,24 +727,24 @@ func (g *gatedBuilder) build(registry.Spec) (*core.Pipeline, error) {
 
 // newGatedServer returns a server whose default model is ready and whose
 // registry trains via the gated builder.
-func newGatedServer(t *testing.T, g *gatedBuilder) (*httptest.Server, chan string) {
+func newGatedServer(t *testing.T, g *gatedBuilder) (*httptest.Server, *registry.Registry) {
 	t.Helper()
 	s := New(pipeline(t))
 	s.Registry().Builder = g.build
-	done := make(chan string, 4)
-	s.Registry().NotifyBuilds(done)
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
-	return srv, done
+	return srv, s.Registry()
 }
 
-func waitBuild(t *testing.T, done chan string, want string) {
+// waitBuild waits for the background build of want to finish.
+func waitBuild(t *testing.T, reg *registry.Registry, want string) {
 	t.Helper()
+	built, err := reg.Built(want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	select {
-	case name := <-done:
-		if name != want {
-			t.Fatalf("build done for %q want %q", name, want)
-		}
+	case <-built:
 	case <-time.After(10 * time.Second):
 		t.Fatalf("timed out waiting for %q", want)
 	}
@@ -752,7 +752,7 @@ func waitBuild(t *testing.T, done chan string, want string) {
 
 func TestCreateModelLifecycle(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{}), result: pipeline(t)}
-	srv, done := newGatedServer(t, g)
+	srv, reg := newGatedServer(t, g)
 
 	// POST /v1/models → 202 with the entry in training.
 	resp := postJSON(t, srv, "/v1/models", registry.Spec{Scenario: "nat", Model: "gbt", Target: "violation"})
@@ -779,7 +779,7 @@ func TestCreateModelLifecycle(t *testing.T) {
 
 	// Release the build; the model flips to ready and serves.
 	close(g.release)
-	waitBuild(t, done, "nat/gbt/violation")
+	waitBuild(t, reg, "nat/gbt/violation")
 	st2 := getJSON(t, srv, "/v1/models/nat/gbt/violation")
 	got := decode[ModelInfo](t, st2)
 	if got.Status != "ready" || got.ReadyAt.IsZero() {
@@ -825,13 +825,13 @@ func TestCreateModelValidation(t *testing.T) {
 
 func TestFailedBuildReported(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{}), err: fmt.Errorf("sim exploded")}
-	srv, done := newGatedServer(t, g)
+	srv, reg := newGatedServer(t, g)
 
 	resp := postJSON(t, srv, "/v1/models", registry.Spec{Scenario: "web", Model: "gbt", Target: "latency"})
 	wantStatus(t, resp, http.StatusAccepted)
 	resp.Body.Close()
 	close(g.release)
-	waitBuild(t, done, "web/gbt/latency")
+	waitBuild(t, reg, "web/gbt/latency")
 
 	st := getJSON(t, srv, "/v1/models/web/gbt/latency")
 	got := decode[ModelInfo](t, st)
@@ -851,7 +851,7 @@ func TestFailedBuildReported(t *testing.T) {
 	retry := postJSON(t, srv, "/v1/models", registry.Spec{Scenario: "web", Model: "gbt", Target: "latency"})
 	wantStatus(t, retry, http.StatusAccepted)
 	retry.Body.Close()
-	waitBuild(t, done, "web/gbt/latency")
+	waitBuild(t, reg, "web/gbt/latency")
 	st2 := getJSON(t, srv, "/v1/models/web/gbt/latency")
 	if got := decode[ModelInfo](t, st2); got.Status != "ready" {
 		t.Fatalf("after retry: %+v", got)
@@ -864,8 +864,6 @@ func TestHealthDegraded(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{}), result: pipeline(t)}
 	reg := registry.New()
 	reg.Builder = g.build
-	done := make(chan string, 1)
-	reg.NotifyBuilds(done)
 	if _, err := reg.Create(registry.Spec{Scenario: "web", Model: "rf", Target: "util"}); err != nil {
 		t.Fatal(err)
 	}
@@ -880,7 +878,7 @@ func TestHealthDegraded(t *testing.T) {
 	}
 
 	close(g.release)
-	waitBuild(t, done, "web/rf/util")
+	waitBuild(t, reg, "web/rf/util")
 	resp2 := getJSON(t, srv, "/healthz")
 	wantStatus(t, resp2, http.StatusOK)
 	if h2 := decode[HealthResponse](t, resp2); h2.Status != "ok" || h2.Ready != 1 {
@@ -892,7 +890,7 @@ func TestHealthDegraded(t *testing.T) {
 // default keeps serving while another model trains and swaps in.
 func TestConcurrentServingDuringTraining(t *testing.T) {
 	g := &gatedBuilder{release: make(chan struct{}), result: pipeline(t)}
-	srv, done := newGatedServer(t, g)
+	srv, reg := newGatedServer(t, g)
 
 	resp := postJSON(t, srv, "/v1/models", registry.Spec{Scenario: "web", Model: "cart", Target: "util"})
 	wantStatus(t, resp, http.StatusAccepted)
@@ -922,7 +920,7 @@ func TestConcurrentServingDuringTraining(t *testing.T) {
 		}()
 	}
 	close(g.release)
-	waitBuild(t, done, "web/cart/util")
+	waitBuild(t, reg, "web/cart/util")
 	close(stop)
 	wg.Wait()
 

@@ -62,16 +62,13 @@ func specRecords(t *testing.T, sp core.ScenarioSpec, seed int64, n int) []teleme
 
 // newStreamingServer builds a fresh multi-model server (no preloaded
 // default model) with its Close hooked into test cleanup.
-func newStreamingServer(t *testing.T) (*Server, *httptest.Server, chan string) {
+func newStreamingServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	reg := registry.New()
-	s := NewServer(reg)
+	s := NewServer(registry.New())
 	t.Cleanup(s.Close)
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
-	done := make(chan string, 4)
-	reg.NotifyBuilds(done)
-	return s, srv, done
+	return s, srv
 }
 
 // readSSE reads one SSE frame ("event:" + "data:" lines up to the blank
@@ -98,7 +95,7 @@ func readSSE(t *testing.T, br *bufio.Reader) (event string, data []byte) {
 // TestScenarioCRUD covers the scenario catalog endpoints: builtins are
 // listed, runtime specs register once, invalid specs are rejected.
 func TestScenarioCRUD(t *testing.T) {
-	_, srv, _ := newStreamingServer(t)
+	_, srv := newStreamingServer(t)
 
 	resp := getJSON(t, srv, "/v1/scenarios")
 	wantStatus(t, resp, http.StatusOK)
@@ -151,7 +148,7 @@ func TestScenarioCRUD(t *testing.T) {
 // ingest (MaxIngestBatch records on a MaxScenarioGroups-group scenario)
 // fits under MaxJSONBytes and is accepted.
 func TestScenarioNameCap(t *testing.T) {
-	_, srv, _ := newStreamingServer(t)
+	_, srv := newStreamingServer(t)
 	name := func(prefix string, n int) string { return prefix + strings.Repeat("x", n-len(prefix)) }
 	kinds := []string{"firewall", "monitor"}
 	sp := core.ScenarioSpec{
@@ -200,7 +197,7 @@ func TestScenarioNameCap(t *testing.T) {
 // TestFeedLifecycleAndIngest covers feed CRUD and the ingest schema
 // contract.
 func TestFeedLifecycleAndIngest(t *testing.T) {
-	_, srv, _ := newStreamingServer(t)
+	_, srv := newStreamingServer(t)
 	resp := postJSON(t, srv, "/v1/scenarios", edgeSpec())
 	wantStatus(t, resp, http.StatusCreated)
 	resp.Body.Close()
@@ -276,7 +273,7 @@ func TestFeedLifecycleAndIngest(t *testing.T) {
 // TestSimulatedFeedStreamsSSE runs a real simulated feed at high rate and
 // reads explained records off the SSE endpoint.
 func TestSimulatedFeedStreamsSSE(t *testing.T) {
-	_, srv, done := newStreamingServer(t)
+	s, srv := newStreamingServer(t)
 	resp := postJSON(t, srv, "/v1/scenarios", edgeSpec())
 	wantStatus(t, resp, http.StatusCreated)
 	resp.Body.Close()
@@ -285,7 +282,7 @@ func TestSimulatedFeedStreamsSSE(t *testing.T) {
 	})
 	wantStatus(t, resp, http.StatusAccepted)
 	resp.Body.Close()
-	waitBuild(t, done, "edge-model")
+	waitBuild(t, s.Registry(), "edge-model")
 
 	resp = postJSON(t, srv, "/v1/feeds", FeedRequest{Name: "sim", Scenario: "edge-pop", Rate: 86400})
 	wantStatus(t, resp, http.StatusCreated)
@@ -345,7 +342,7 @@ func TestSimulatedFeedStreamsSSE(t *testing.T) {
 // trains on the streamed window and hot-swaps the model (observable as
 // retrains=1 on the model), and the SSE stream keeps serving.
 func TestStreamingEndToEnd(t *testing.T) {
-	_, srv, done := newStreamingServer(t)
+	s, srv := newStreamingServer(t)
 
 	// 1. Register a new topology at runtime.
 	resp := postJSON(t, srv, "/v1/scenarios", edgeSpec())
@@ -358,7 +355,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 	})
 	wantStatus(t, resp, http.StatusAccepted)
 	resp.Body.Close()
-	waitBuild(t, done, "edge/cart/latency")
+	waitBuild(t, s.Registry(), "edge/cart/latency")
 
 	// 3. Open an ingest-only feed and attach the model with a tiny drift
 	// window so the test stays fast.
@@ -525,7 +522,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 	})
 	wantStatus(t, resp, http.StatusAccepted)
 	resp.Body.Close()
-	waitBuild(t, done, "unattached")
+	waitBuild(t, s.Registry(), "unattached")
 	resp = postJSON(t, srv, "/v1/models/unattached/jobs", JobRequest{Kind: JobRetrain})
 	wantStatus(t, resp, http.StatusBadRequest)
 	resp.Body.Close()
@@ -535,7 +532,7 @@ func TestStreamingEndToEnd(t *testing.T) {
 // retrains: repeated drift flags within min_retrain_interval_sec submit
 // one job, while the flags themselves stay observable.
 func TestAutoRetrainRateLimited(t *testing.T) {
-	_, srv, done := newStreamingServer(t)
+	s, srv := newStreamingServer(t)
 	resp := postJSON(t, srv, "/v1/scenarios", edgeSpec())
 	wantStatus(t, resp, http.StatusCreated)
 	resp.Body.Close()
@@ -544,7 +541,7 @@ func TestAutoRetrainRateLimited(t *testing.T) {
 	})
 	wantStatus(t, resp, http.StatusAccepted)
 	resp.Body.Close()
-	waitBuild(t, done, "rl")
+	waitBuild(t, s.Registry(), "rl")
 	sim := false
 	resp = postJSON(t, srv, "/v1/feeds", FeedRequest{Name: "rlfeed", Scenario: "edge-pop", Simulate: &sim})
 	wantStatus(t, resp, http.StatusCreated)

@@ -85,20 +85,21 @@ func persistSeedStore(b *testing.B) *registry.Store {
 	return persistStore
 }
 
-// BenchmarkRegistryWarmStart restores all three pipelines from disk —
-// the explaind -store boot path.
+// BenchmarkRegistryWarmStart restores all three pipelines from disk with
+// the boot round serve.Open runs for explaind -store: one SyncManifest
+// on an empty registry.
 func BenchmarkRegistryWarmStart(b *testing.B) {
 	st := persistSeedStore(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg := registry.New()
 		reg.UseStore(st)
-		rep, err := reg.WarmStart(time.Now())
+		rep, err := reg.SyncManifest(time.Now())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rep.Models) != 3 || len(rep.Errors) != 0 {
-			b.Fatalf("restored %d models, %d errors", len(rep.Models), len(rep.Errors))
+		if len(rep.Adopted) != 3 || len(rep.Errors) != 0 {
+			b.Fatalf("restored %d models, %d errors", len(rep.Adopted), len(rep.Errors))
 		}
 	}
 }

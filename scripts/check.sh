@@ -3,8 +3,10 @@
 # (build + tests), the lint wall (gofmt, go vet, an arm64 cross-build,
 # nfvlint, the orphan-package check, and staticcheck/govulncheck when
 # installed), the golden replies at GOMAXPROCS 1 and 2, and
-# a short fuzz smoke over the four hostile-input surfaces. Run it from
-# anywhere inside the repo before pushing.
+# a short fuzz smoke over the four hostile-input surfaces. Every step
+# that names its tests with -run or -fuzz goes through scripts/gotest.sh,
+# which fails when a named test no longer exists. Run it from anywhere
+# inside the repo before pushing.
 #
 #   ./scripts/check.sh            # everything: ~4.5 min on 2 vCPUs with a
 #                                 # cold test cache, ~3 min warm
@@ -70,22 +72,22 @@ step "test (shuffled order)"
 go test -shuffle=on ./...
 
 step "batch parity at 1 and 4 cores (inline and sched-dispatched chunks)"
-go test -cpu 1,4 -run 'Parity|Scaled' ./internal/ml/... ./internal/core/ ./internal/xai/shap/ ./internal/xai/lime/ ./internal/xai/treeshap/
+scripts/gotest.sh -cpu 1,4 -run 'Parity|Scaled' ./internal/ml/... ./internal/core/ ./internal/xai/shap/ ./internal/xai/lime/ ./internal/xai/treeshap/
 
 # The sched pool is sized once per process, so -cpu 1,4 never dispatches
 # at 4 once the 1-CPU pass has sized it; each GOMAXPROCS needs its own run.
 step "golden replies at GOMAXPROCS 1 and 2"
-GOMAXPROCS=1 go test -count=1 -run 'TestGoldenReplies' ./internal/serve/
-GOMAXPROCS=2 go test -count=1 -run 'TestGoldenReplies' ./internal/serve/
+GOMAXPROCS=1 scripts/gotest.sh -count=1 -run 'TestGoldenReplies' ./internal/serve/
+GOMAXPROCS=2 scripts/gotest.sh -count=1 -run 'TestGoldenReplies' ./internal/serve/
 
 step "leak-checked packages at GOMAXPROCS 1 and 4"
-leakpkgs="./internal/serve/ ./internal/experiment/ ./internal/feed/ ./internal/registry/ ./internal/chaos/ ./internal/cluster/ ./internal/sched/ ./internal/xai/xcache/"
+leakpkgs="./cmd/explaind/ ./internal/serve/ ./internal/experiment/ ./internal/feed/ ./internal/registry/ ./internal/chaos/ ./internal/cluster/ ./internal/sched/ ./internal/xai/xcache/"
 GOMAXPROCS=1 go test -count=1 $leakpkgs
 GOMAXPROCS=4 go test -count=1 $leakpkgs
 
-step "race (batch inference + scheduler + scaled wrapper + explainers + serving/jobs + feeds + experiments + registry + cluster)"
-go test -race ./internal/ml/... ./internal/sched/ ./internal/xai/... ./internal/serve/... ./internal/feed/... ./internal/experiment/... ./internal/registry/... ./internal/cluster/...
-go test -race -run 'TestScaledModelPredictBatch|TestScaledTransformParity' ./internal/core/
+step "race (batch inference + scheduler + scaled wrapper + explainers + serving/jobs + feeds + experiments + registry + cluster + explaind's flags)"
+go test -race ./internal/ml/... ./internal/sched/ ./internal/xai/... ./internal/serve/... ./internal/feed/... ./internal/experiment/... ./internal/registry/... ./internal/cluster/... ./cmd/explaind/
+scripts/gotest.sh -race -run 'TestScaledModelPredictBatch|TestScaledTransformParity' ./internal/core/
 
 step "explainbench module (nested; root go test ./... skips it)"
 (cd explainbench && go vet ./... && go test ./...)
@@ -94,7 +96,7 @@ step "chaos smoke (fault-injected store + feeds + cluster node-down under -race)
 go test -race -timeout 5m ./internal/chaos
 
 step "cluster e2e smoke (3-node fleet under -race)"
-go test -race -run 'TestCluster' -timeout 5m ./internal/cluster
+scripts/gotest.sh -race -run 'TestCluster' -timeout 5m ./internal/cluster
 
 # One iteration of every benchmark: the test steps compile benchmarks but
 # never run them, so only this step catches one that fails at run time.
@@ -106,10 +108,10 @@ go run ./cmd/benchdiff -history .
 
 if [ "$FUZZTIME" != "0" ]; then
   step "fuzz smoke ($FUZZTIME per target)"
-  go test -fuzz 'FuzzDecodeModel' -fuzztime "$FUZZTIME" -run '^$' ./internal/ml
-  go test -fuzz 'FuzzReadWire' -fuzztime "$FUZZTIME" -run '^$' ./internal/dataset
-  go test -fuzz 'FuzzParseSpec' -fuzztime "$FUZZTIME" -run '^$' ./internal/experiment
-  go test -fuzz 'FuzzServeAPI' -fuzztime "$FUZZTIME" -run '^$' ./internal/serve
+  scripts/gotest.sh -fuzz 'FuzzDecodeModel' -fuzztime "$FUZZTIME" -run '^$' ./internal/ml
+  scripts/gotest.sh -fuzz 'FuzzReadWire' -fuzztime "$FUZZTIME" -run '^$' ./internal/dataset
+  scripts/gotest.sh -fuzz 'FuzzParseSpec' -fuzztime "$FUZZTIME" -run '^$' ./internal/experiment
+  scripts/gotest.sh -fuzz 'FuzzServeAPI' -fuzztime "$FUZZTIME" -run '^$' ./internal/serve
 fi
 
 printf '\nall checks passed\n'
