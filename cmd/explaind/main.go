@@ -62,6 +62,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -130,7 +131,7 @@ func parseFlags(args []string, stderr io.Writer) (o options, err error) {
 	fs.BoolVar(&o.cfg.CacheTier2, "cache-tier2", false, "persist hot cache entries under -store (DIR/xcache) so a "+
 		"restarted or newly joined node serves explanations computed by the previous process or the fleet; needs -store")
 	fs.IntVar(&o.schedWorkers, "sched-workers", 0, "shared kernel worker-pool size (0 = GOMAXPROCS); "+
-		"sizes batch predict, ensemble sharding, the MLP forward pass and xai.ExplainBatch "+
+		"sizes batch predict, ensemble sharding, forest training, the MLP forward pass and xai.ExplainBatch "+
 		"(serving batch explains fan out behind the server's GOMAXPROCS-slot gate instead)")
 	fs.Func("model", "scenario:model:target[:hours] spec; repeat to serve several models. "+
 		"A bare kind (e.g. just \"rf\") combines with -scenario/-target, matching the pre-v1 CLI.",
@@ -203,6 +204,28 @@ func parseFeedSpec(s string) (serve.FeedRequest, error) {
 	return fr, nil
 }
 
+// openNode boots the node main serves. Check runs before -store is
+// opened, because opening creates the store's directories and a refused
+// command line should leave none behind. Check asks only whether a store
+// is set, so a memory bucket stands in for -store there.
+func openNode(o options) (*serve.Node, error) {
+	pre := o.cfg
+	if o.storeDir != "" {
+		pre.Store = registry.NewMemBlob()
+	}
+	if err := pre.Check(); err != nil {
+		return nil, err
+	}
+	if o.storeDir != "" {
+		st, err := registry.OpenFSStore(o.storeDir)
+		if err != nil {
+			return nil, err
+		}
+		o.cfg.Store = st.Backend()
+	}
+	return serve.Open(o.cfg)
+}
+
 func main() {
 	o, err := parseFlags(os.Args[1:], os.Stderr)
 	if errors.Is(err, flag.ErrHelp) {
@@ -216,14 +239,7 @@ func main() {
 		sched.Configure(o.schedWorkers, false)
 	}
 	log.Printf("kernel plane: sched workers %d", sched.Default().Workers())
-	if o.storeDir != "" {
-		st, err := registry.OpenFSStore(o.storeDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		o.cfg.Store = st.Backend()
-	}
-	n, err := serve.Open(o.cfg)
+	n, err := openNode(o)
 	if err != nil {
 		log.Print(err)
 		if errors.Is(err, serve.ErrConfig) {
@@ -236,10 +252,15 @@ func main() {
 	// IdleTimeout reaps idle keep-alives. No blanket write timeout: SSE
 	// streams (/v1/models/{name}/stream) are long-lived by design, and
 	// request work is bounded by latency budgets instead.
-	srv := &http.Server{Addr: o.addr, Handler: n, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 120 * time.Second}
+	srv := &http.Server{Handler: n, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 120 * time.Second}
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		n.Close()
+		log.Fatal(err)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("explaind listening on %s with %d model(s), default %s", o.addr, n.Registry().Len(), n.Registry().DefaultName())
+	go func() { errc <- srv.Serve(ln) }()
+	log.Printf("explaind listening on %s with %d model(s), default %s", ln.Addr(), n.Registry().Len(), n.Registry().DefaultName())
 
 	// Graceful shutdown: a first SIGINT/SIGTERM closes the node, then
 	// drains the listener with a timeout. A second signal aborts the

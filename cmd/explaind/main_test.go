@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -113,5 +117,48 @@ func TestFlagsBadSpecs(t *testing.T) {
 		if _, err := parseFlags(args, io.Discard); err == nil {
 			t.Errorf("parseFlags(%q) accepted", args)
 		}
+	}
+}
+
+// TestRefusedRunCreatesNoStore: a command line that Check refuses fails
+// with ErrConfig before -store is opened, so it leaves no store directory
+// behind. Each carries an unbuildable first model (a thousandth of a
+// virtual hour holds no data), so a refusal that came after training
+// would surface as the build's error instead. A command line Check
+// accepts opens the store on disk and boots on it.
+func TestRefusedRunCreatesNoStore(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cache-tier2", "-cache-mb", "0"},
+		{"-peers", "a=http://127.0.0.1:1"},
+		{"-feed", "live:web:100000"},
+	} {
+		dir := filepath.Join(t.TempDir(), "store")
+		o, err := parseFlags(append(args, "-store", dir, "-model", "web:cart:util:0.0001"), io.Discard)
+		if err != nil {
+			t.Fatalf("parseFlags(%q): %v", args, err)
+		}
+		if n, err := openNode(o); !errors.Is(err, serve.ErrConfig) {
+			if n != nil {
+				n.Close()
+			}
+			t.Fatalf("%q: err = %v, want ErrConfig", args, err)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%q: refused, but the store directory exists (stat: %v)", args, err)
+		}
+	}
+
+	dir := filepath.Join(t.TempDir(), "store")
+	o, err := parseFlags([]string{"-store", dir, "-cache-tier2", "-model", "web:linear:util:1"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := openNode(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	if keys, err := filepath.Glob(filepath.Join(dir, "artifacts", "*")); err != nil || len(keys) != 1 {
+		t.Fatalf("store artifacts = %q (%v), want the trained model's", keys, err)
 	}
 }

@@ -89,10 +89,10 @@
 // LIME at 3 — BENCH_PR10.json; MLP KernelSHAP still made ~61,500, about
 // one per evaluated row, until the wrapper change below). The MLP's batch path
 // runs each layer through a 4-row register tile over a transposed weight
-// panel carved from the sched worker arena: four rows share every weight
+// panel held in pooled chunk scratch: four rows share every weight
 // load, and each output keeps Predict's summation order, so batch output
 // stays bit-identical. The standardizing wrapper in front of the MLP and
-// linear models standardizes chunk-wise into worker-arena rows instead
+// linear models standardizes chunk-wise into pooled rows instead
 // of allocating a vector per row; together they make a 1024-coalition
 // MLP KernelSHAP explain about 3x faster (BENCH_PR13.json). On amd64
 // CPUs with AVX2 (CPUID and XGETBV, checked once at start-up) the batch
@@ -119,15 +119,17 @@
 // after it reproduces the wrapper's Predict on the background. At the
 // served seed a 1024-coalition explain evaluates 49,201 rows instead of
 // 61,441, and cold-kernelshap throughput, measured beside its parent
-// on the same host, rose from 90.5 to 122.1 req/s (BENCH_PR28.json). Fan-out across all of it flows through
-// one pool of worker contexts (internal/sched) with per-worker float
-// arenas, sized once (explaind -sched-workers) instead of
-// per-call-site goroutine spawning. Its
-// helpers are call-scoped: ParallelFor borrows idle contexts, runs a
-// goroutine per context beside the caller and waits for them, so no
-// goroutine outlives the call that started it and the pool needs no
-// shutdown; the -sched-pin flag went with the long-lived workers it
-// pinned.
+// on the same host, rose from 90.5 to 122.1 req/s (BENCH_PR28.json).
+// Fan-out across all of it, forest training included, flows through one
+// pool of helper tokens (internal/sched), sized once (explaind
+// -sched-workers) instead of per-call-site goroutine spawning. The pool
+// only fans out: every kernel keeps its scratch in its own sync.Pool
+// (the MLP's chunk buffers, the wrapper's standardized rows, KernelSHAP,
+// LIME and the solver's workspaces). Its helpers are call-scoped:
+// ParallelFor takes idle tokens, runs a goroutine per token beside the
+// caller and waits for them, so no goroutine outlives the call that
+// started it and the pool needs no shutdown; the -sched-pin flag went
+// with the long-lived workers it pinned.
 //
 // # The durable artifact plane
 //
@@ -184,9 +186,8 @@
 // under lock, do the slow work after), errcmp
 // (sentinel errors travel through errors.Is/As and %w so wrapped
 // corruption errors still match), and poolalloc (no bare float-slice
-// make on the kernel hot paths — scratch comes from sync.Pools or
-// sched.Worker arenas, with //lint:allow documenting every legitimate
-// escape). `go run ./cmd/nfvlint ./...` must
+// make on the kernel hot paths — scratch comes from sync.Pools, with
+// //lint:allow documenting every legitimate escape). `go run ./cmd/nfvlint ./...` must
 // stay clean — CI's lint job enforces it alongside go vet,
 // staticcheck and govulncheck — and ./scripts/check.sh runs the same
 // wall locally plus the native fuzz targets that probe the

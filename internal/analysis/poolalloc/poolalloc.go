@@ -2,7 +2,7 @@
 // the mechanical-sympathy PR: the explainer hot loops (internal/mat,
 // internal/xai/shap, internal/xai/lime) run at zero steady-state
 // allocations, with every transient drawn from a pooled workspace
-// (sync.Pool buffers, sched.Worker arenas) instead of make. A fresh
+// (a sync.Pool buffer) instead of make. A fresh
 // float-slice make in those packages is either pool plumbing — a
 // get*/put*/new*/release* accessor, or the cap-guarded growth of a
 // pooled buffer — or it is a finding: escaping results and genuinely
@@ -95,7 +95,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			}
 		}
 		pass.Reportf(call.Pos(),
-			"make([]%s, …) on a kernel hot path; use a pooled workspace (sync.Pool buffer / sched.Worker arena), or justify the escape with //lint:allow poolalloc", elem)
+			"make([]%s, …) on a kernel hot path; use a pooled workspace (a sync.Pool buffer), or justify the escape with //lint:allow poolalloc", elem)
 		return true
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/ml"
@@ -111,8 +112,17 @@ type scaledModel struct {
 
 // scaledChunk is the most rows PredictBatch standardizes and hands to the
 // inner model at once. It equals the MLP's own chunk size, so an inner
-// MLP batch runs on the calling worker instead of fanning out again.
+// MLP batch runs on the calling goroutine instead of fanning out again.
 const scaledChunk = 512
+
+// scaledRows is one sched chunk's standardized rows: the flat backing
+// the rows are written into and the row headers the inner model reads.
+type scaledRows struct {
+	buf  []float64
+	rows [][]float64
+}
+
+var scaledPool = sync.Pool{New: func() any { return new(scaledRows) }}
 
 // Predict implements ml.Predictor on raw (unscaled) inputs.
 func (s *scaledModel) Predict(x []float64) float64 {
@@ -121,14 +131,21 @@ func (s *scaledModel) Predict(x []float64) float64 {
 
 // PredictBatch implements ml.BatchPredictor. Rows are standardized with
 // Predict's transform, in parallel over the shared sched pool, into
-// rows carved from each worker's arena, and each chunk of at most
-// scaledChunk rows goes to the inner model's batch path; a batch
-// allocates one row-header slice per sched chunk, not a vector per row.
+// rows checked out of scaledPool once per sched chunk, and each run of
+// at most scaledChunk rows goes to the inner model's batch path; a
+// steady-state batch allocates no vector per row and no row headers.
 func (s *scaledModel) PredictBatch(X [][]float64, out []float64) {
 	p := len(s.scaler.Mean)
-	sched.ParallelFor(len(X), scaledChunk, func(wk *sched.Worker, plo, phi int) {
-		buf := wk.Floats(0, scaledChunk*p)
-		rows := make([][]float64, min(scaledChunk, phi-plo))
+	sched.ParallelFor(len(X), scaledChunk, func(plo, phi int) {
+		sr := scaledPool.Get().(*scaledRows)
+		defer scaledPool.Put(sr)
+		if cap(sr.buf) < scaledChunk*p {
+			sr.buf = make([]float64, scaledChunk*p)
+		}
+		if cap(sr.rows) < scaledChunk {
+			sr.rows = make([][]float64, scaledChunk)
+		}
+		buf, rows := sr.buf, sr.rows[:scaledChunk]
 		for lo := plo; lo < phi; lo += scaledChunk {
 			hi := min(lo+scaledChunk, phi)
 			for r, x := range X[lo:hi] {

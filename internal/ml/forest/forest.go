@@ -8,8 +8,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/ml/tree"
@@ -83,48 +81,28 @@ func (f *RandomForest) Fit(d *dataset.Dataset) error {
 		seeds[t] = rng.Int63()
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nTrees {
-		workers = nTrees
-	}
-	var (
-		wg     sync.WaitGroup
-		next   = make(chan int)
-		errMu  sync.Mutex
-		fitErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				tr := tree.New(tree.Config{
-					Task:        f.Task,
-					MaxDepth:    depth,
-					MinLeaf:     minLeaf,
-					MaxFeatures: maxFeat,
-					Seed:        seeds[t],
-				})
-				if err := tr.FitIndices(d, boot[t], nil); err != nil {
-					errMu.Lock()
-					if fitErr == nil {
-						fitErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
+	// Trees are fitted over the shared sched pool, each writing only its
+	// own slot; the first error by tree index wins.
+	errs := make([]error, nTrees)
+	sched.ParallelFor(nTrees, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			tr := tree.New(tree.Config{
+				Task:        f.Task,
+				MaxDepth:    depth,
+				MinLeaf:     minLeaf,
+				MaxFeatures: maxFeat,
+				Seed:        seeds[t],
+			})
+			if errs[t] = tr.FitIndices(d, boot[t], nil); errs[t] == nil {
 				f.Trees[t] = tr
 			}
-		}()
-	}
-	for t := 0; t < nTrees; t++ {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
-	if fitErr != nil {
-		f.Trees = nil
-		return fitErr
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			f.Trees = nil
+			return err
+		}
 	}
 	return nil
 }
@@ -145,7 +123,7 @@ func (f *RandomForest) Predict(x []float64) float64 {
 // outputs in ensemble order (so every row gets the same addition order —
 // and thus bit-identical output — as a Predict loop).
 func (f *RandomForest) PredictBatch(X [][]float64, out []float64) {
-	shardEnsemble(len(f.Trees), X, func(w *sched.Worker, lo, hi int) {
+	shardEnsemble(len(f.Trees), X, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = 0
 		}
@@ -335,7 +313,7 @@ func newtonLeaves(tr *tree.Tree, d *dataset.Dataset, score []float64, idx []int)
 // shrunk tree outputs in boosting order, matching RawScore exactly.
 func (g *GradientBoosting) PredictBatch(X [][]float64, out []float64) {
 	lr := g.shrinkage()
-	shardEnsemble(len(g.Trees), X, func(w *sched.Worker, lo, hi int) {
+	shardEnsemble(len(g.Trees), X, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = g.Base
 		}
@@ -354,7 +332,7 @@ func (g *GradientBoosting) PredictBatch(X [][]float64, out []float64) {
 // shared sched pool. The minimum chunk keeps small batches (or tiny
 // ensembles) inline: below ~16k tree·row evaluations the dispatch costs
 // more than the traversals.
-func shardEnsemble(nTrees int, X [][]float64, eval func(w *sched.Worker, lo, hi int)) {
+func shardEnsemble(nTrees int, X [][]float64, eval func(lo, hi int)) {
 	minChunk := 1
 	if nTrees > 0 {
 		if mc := 8192 / nTrees; mc > 1 {

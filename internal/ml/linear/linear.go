@@ -80,7 +80,7 @@ func (m *Regression) Predict(x []float64) float64 {
 // sharded over the shared sched pool for large batches (rows are
 // independent dot products, so output stays bit-identical to Predict).
 func (m *Regression) PredictBatch(X [][]float64, out []float64) {
-	sched.ParallelFor(len(X), 256, func(w *sched.Worker, lo, hi int) {
+	sched.ParallelFor(len(X), 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = mat.Dot(m.Weights, X[i]) + m.Intercept
 		}
@@ -193,7 +193,7 @@ func (m *Logistic) Predict(x []float64) float64 {
 // PredictBatch implements ml.BatchPredictor: a mat-vec sweep through the
 // link function, sharded like Regression.PredictBatch.
 func (m *Logistic) PredictBatch(X [][]float64, out []float64) {
-	sched.ParallelFor(len(X), 256, func(w *sched.Worker, lo, hi int) {
+	sched.ParallelFor(len(X), 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = sigmoid(mat.Dot(m.Weights, X[i]) + m.Intercept)
 		}

@@ -94,7 +94,7 @@ func PredictBatchParallel(m Predictor, X [][]float64, out []float64, workers int
 	_ = workers
 	// minChunk of half the threshold keeps the historical cutoff: n >=
 	// minParallelRows dispatches, anything smaller runs inline.
-	sched.ParallelFor(len(X), minParallelRows/2, func(w *sched.Worker, lo, hi int) {
+	sched.ParallelFor(len(X), minParallelRows/2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = m.Predict(X[i])
 		}

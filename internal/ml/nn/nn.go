@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/sched"
@@ -274,33 +275,54 @@ func (m *MLP) Predict(x []float64) float64 {
 // size.
 const batchChunk = 512
 
+// chunkScratch is one chunk's working memory: the two activation buffers
+// both batch paths swap between, and the tile path's transposed weight
+// panel. predictChunk checks one out of chunkPool per chunk, so
+// steady-state batches stop allocating. Contents are undefined on
+// checkout; each path overwrites what it reads.
+type chunkScratch struct{ cur, nxt, panel []float64 }
+
+var chunkPool = sync.Pool{New: func() any { return new(chunkScratch) }}
+
+// floats returns buf resized to n, reallocating only when it is too
+// small.
+func floats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
 // PredictBatch implements ml.BatchPredictor. Its outputs are
 // bit-identical to Predict's whatever the batch holds: on amd64 with
 // AVX2 it runs the block path (predictBlocks), elsewhere the tile path
 // (predictTiles), and both form every sum exactly as forward does.
 // Chunks are distributed over the shared sched pool. A batch of fewer
 // than two chunks, which ParallelFor would run inline anyway (the
-// standardizing wrapper hands over 512 rows at a time), goes through
-// sched.Inline instead, whose closure stays on the stack: such a call
-// allocates nothing.
+// standardizing wrapper hands over 512 rows at a time), calls
+// predictChunk directly, with no closure to escape to the heap: such a
+// call allocates nothing.
 func (m *MLP) PredictBatch(X [][]float64, out []float64) {
 	if len(m.weights) == 0 {
 		panic("nn: PredictBatch before Fit")
 	}
 	if len(X) < 2*batchChunk {
-		sched.Inline(len(X), func(wk *sched.Worker, lo, hi int) { m.predictChunk(wk, X[lo:hi], out[lo:hi]) })
+		m.predictChunk(X, out)
 		return
 	}
-	sched.ParallelFor(len(X), batchChunk, func(wk *sched.Worker, lo, hi int) { m.predictChunk(wk, X[lo:hi], out[lo:hi]) })
+	sched.ParallelFor(len(X), batchChunk, func(lo, hi int) { m.predictChunk(X[lo:hi], out[lo:hi]) })
 }
 
-// predictChunk runs one sched chunk through the block or the tile path.
-func (m *MLP) predictChunk(wk *sched.Worker, X [][]float64, out []float64) {
+// predictChunk runs one sched chunk through the block or the tile path
+// on a scratch checked out of chunkPool.
+func (m *MLP) predictChunk(X [][]float64, out []float64) {
+	sc := chunkPool.Get().(*chunkScratch)
+	defer chunkPool.Put(sc)
 	if hasAVX2 {
-		m.predictBlocks(wk, X, out)
+		m.predictBlocks(sc, X, out)
 		return
 	}
-	m.predictTiles(wk, X, out)
+	m.predictTiles(sc, X, out)
 }
 
 // predictBlocks walks 4-row blocks through every layer. A block is
@@ -310,15 +332,15 @@ func (m *MLP) predictChunk(wk *sched.Worker, X [][]float64, out []float64) {
 // outputs left over (such as the final 1-wide layer) finish in Go on the
 // same block, each lane's sum formed as forward forms it. Tanh, the
 // output link and a short last block's padding (its last row repeated,
-// the padded lanes dropped) stay in Go. The two block buffers are carved
-// from the chunk's worker arena.
-func (m *MLP) predictBlocks(wk *sched.Worker, X [][]float64, out []float64) {
+// the padded lanes dropped) stay in Go. The two block buffers come from
+// the chunk's scratch.
+func (m *MLP) predictBlocks(sc *chunkScratch, X [][]float64, out []float64) {
 	maxDim := 0
 	for _, w := range m.dims {
 		maxDim = max(maxDim, w)
 	}
-	cur := wk.Floats(0, 4*maxDim)
-	nxt := wk.Floats(1, 4*maxDim)
+	sc.cur, sc.nxt = floats(sc.cur, 4*maxDim), floats(sc.nxt, 4*maxDim)
+	cur, nxt := sc.cur, sc.nxt
 	for r0 := 0; r0 < len(X); r0 += 4 {
 		rows := min(4, len(X)-r0)
 		for r := 0; r < 4; r++ {
@@ -389,10 +411,10 @@ func (m *MLP) layerBlock(src, dst, w []float64, in, out int, last bool) {
 // forms it — bias first, then inputs in ascending order, with the same
 // z += x*w statement — and the rows%4 tail runs forward's loop, so
 // outputs stay bit-identical to Predict. The activation buffers and the
-// panel are carved from the chunk's worker arena so steady-state batches
-// stop allocating. Rows are independent and each chunk writes only its
-// own out range, so the result does not depend on the worker count.
-func (m *MLP) predictTiles(wk *sched.Worker, X [][]float64, out []float64) {
+// panel come from the chunk's scratch. Rows are independent and each
+// chunk writes only its own out range, so the result does not depend on
+// the worker count.
+func (m *MLP) predictTiles(sc *chunkScratch, X [][]float64, out []float64) {
 	maxDim, maxPanel := 0, 0
 	for l, w := range m.dims {
 		maxDim = max(maxDim, w)
@@ -400,9 +422,9 @@ func (m *MLP) predictTiles(wk *sched.Worker, X [][]float64, out []float64) {
 			maxPanel = max(maxPanel, m.dims[l-1]*w)
 		}
 	}
-	cur := wk.Floats(0, batchChunk*maxDim)
-	nxt := wk.Floats(1, batchChunk*maxDim)
-	panel := wk.Floats(2, maxPanel)
+	sc.cur, sc.nxt = floats(sc.cur, batchChunk*maxDim), floats(sc.nxt, batchChunk*maxDim)
+	sc.panel = floats(sc.panel, maxPanel)
+	cur, nxt, panel := sc.cur, sc.nxt, sc.panel
 	for lo := 0; lo < len(X); lo += batchChunk {
 		hi := min(lo+batchChunk, len(X))
 		rows := hi - lo

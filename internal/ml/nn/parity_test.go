@@ -112,7 +112,7 @@ func poison(m *MLP) {
 // TestBlockTileParity holds both batch paths of the MLP to Predict bit
 // for bit: the AVX2 block path (predictBlocks) and the portable tile
 // path (predictTiles), each called directly on the chunks of a sched
-// dispatch, over hidden widths that
+// dispatch with a fresh scratch per chunk, over hidden widths that
 // are not multiples of 4 or 8, Tanh, classification and three hidden
 // layers, batch sizes on both sides of the 4-row block and the 512-row
 // chunk, and inputs that hold NaN, infinities, −0, a subnormal and
@@ -147,7 +147,7 @@ func TestBlockTileParity(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 511, 513, 2051}
 	paths := []struct {
 		name string
-		run  func(m *MLP, wk *sched.Worker, X [][]float64, out []float64)
+		run  func(m *MLP, sc *chunkScratch, X [][]float64, out []float64)
 	}{
 		{"tiles", (*MLP).predictTiles},
 		{"blocks", (*MLP).predictBlocks},
@@ -166,8 +166,8 @@ func TestBlockTileParity(t *testing.T) {
 				for _, n := range sizes {
 					X := parityRows(m, n, rng)
 					got := make([]float64, n)
-					sched.ParallelFor(n, batchChunk, func(wk *sched.Worker, lo, hi int) {
-						path.run(m, wk, X[lo:hi], got[lo:hi])
+					sched.ParallelFor(n, batchChunk, func(lo, hi int) {
+						path.run(m, new(chunkScratch), X[lo:hi], got[lo:hi])
 					})
 					for i, x := range X {
 						if want := m.Predict(x); !sameBits(got[i], want) {
@@ -178,6 +178,27 @@ func TestBlockTileParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneChunkBatchNoAllocs pins what calling predictChunk directly
+// buys: a batch of fewer than two chunks (the standardizing wrapper hands
+// over 512 rows at a time) runs on the calling goroutine on a pooled
+// scratch and, once the pool holds one, allocates nothing. Under -race a
+// sync.Pool drops a share of its puts, so the check needs a normal build.
+func TestOneChunkBatchNoAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("under -race a sync.Pool drops a share of its puts")
+	}
+	m := parityNet(t, []int{48, 24}, ReLU, dataset.Regression)
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, batchChunk, 2*batchChunk - 1} {
+		X := parityRows(m, n, rng)
+		out := make([]float64, n)
+		m.PredictBatch(X, out) // warm-up: fills the pool
+		if avg := testing.AllocsPerRun(50, func() { m.PredictBatch(X, out) }); avg != 0 {
+			t.Errorf("a %d-row PredictBatch allocates %.1f objects/op, want 0", n, avg)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ func TestParallelForCoversRange(t *testing.T) {
 		p := New(workers)
 		for _, n := range []int{0, 1, 2, 7, 64, 1000, 4097} {
 			hits := make([]int32, n)
-			p.ParallelFor(n, 8, func(w *Worker, lo, hi int) {
+			p.ParallelFor(n, 8, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -39,9 +39,9 @@ func TestParallelForNested(t *testing.T) {
 	var total atomic.Int64
 	outer := 64
 	inner := 256
-	p.ParallelFor(outer, 1, func(w *Worker, lo, hi int) {
+	p.ParallelFor(outer, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.ParallelFor(inner, 16, func(w *Worker, lo, hi int) {
+			p.ParallelFor(inner, 16, func(lo, hi int) {
 				total.Add(int64(hi - lo))
 			})
 		}
@@ -63,7 +63,7 @@ func TestParallelForDeterministic(t *testing.T) {
 	}
 	for rep := 0; rep < 10; rep++ {
 		clear(out)
-		p.ParallelFor(n, 64, func(w *Worker, lo, hi int) {
+		p.ParallelFor(n, 64, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				out[i] = float64(i) * 1.5
 			}
@@ -76,98 +76,6 @@ func TestParallelForDeterministic(t *testing.T) {
 	}
 }
 
-// TestCallerContextsReused runs two-level nested calls from one and
-// from several goroutines at once and checks that chunks only ever see
-// the pool's helper contexts and a bounded set of reused caller
-// contexts: K concurrent calls hold at most 2K+W caller contexts, so
-// chunks see at most 2W+2K distinct ones and caller arenas are not
-// rebuilt call after call. Under -race a sync.Pool drops a share of its
-// puts, which this catches.
-func TestCallerContextsReused(t *testing.T) {
-	const workers = 2
-	for callers := 1; callers <= workers; callers++ {
-		p := New(workers)
-		var mu sync.Mutex
-		seen := map[*Worker]bool{}
-		record := func(w *Worker) {
-			mu.Lock()
-			seen[w] = true
-			mu.Unlock()
-		}
-		var wg sync.WaitGroup
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for rep := 0; rep < 200; rep++ {
-					p.ParallelFor(8, 1, func(w *Worker, lo, hi int) {
-						record(w)
-						for i := lo; i < hi; i++ {
-							p.ParallelFor(64, 8, func(w *Worker, lo, hi int) { record(w) })
-						}
-					})
-				}
-			}()
-		}
-		wg.Wait()
-		if got, limit := len(seen), 2*workers+2*callers; got > limit {
-			t.Errorf("%d callers: chunks ran on %d distinct contexts, want at most %d", callers, got, limit)
-		}
-	}
-}
-
-// TestWorkerArena checks slot isolation and reuse of per-worker scratch.
-func TestWorkerArena(t *testing.T) {
-	w := &Worker{}
-	a := w.Floats(0, 16)
-	b := w.Floats(1, 16)
-	a[0], b[0] = 1, 2
-	if a[0] != 1 || b[0] != 2 {
-		t.Fatal("slots alias")
-	}
-	a2 := w.Floats(0, 8)
-	if &a2[0] != &a[0] {
-		t.Fatal("slot 0 not reused at smaller size")
-	}
-}
-
-// TestWorkerArenaNoSteadyStateAllocs: reusing a warmed arena slot must
-// not allocate.
-func TestWorkerArenaNoSteadyStateAllocs(t *testing.T) {
-	w := &Worker{}
-	w.Floats(0, 1024)
-	avg := testing.AllocsPerRun(100, func() {
-		_ = w.Floats(0, 1024)
-	})
-	if avg != 0 {
-		t.Fatalf("warmed arena allocates %.1f objects/op, want 0", avg)
-	}
-}
-
-// TestInlineNoAllocs: Inline hands fn the whole range once, on a caller
-// context, and a closure passed to it stays on the stack, which is what
-// it exists for.
-func TestInlineNoAllocs(t *testing.T) {
-	p := New(2)
-	var calls, covered int
-	p.Inline(0, func(*Worker, int, int) { calls++ })
-	p.Inline(7, func(w *Worker, lo, hi int) {
-		if w == nil || lo != 0 || hi != 7 {
-			t.Errorf("Inline(7) ran fn(%p, %d, %d), want a worker and [0, 7)", w, lo, hi)
-		}
-		calls++
-	})
-	if calls != 1 {
-		t.Fatalf("fn ran %d times, want once (not at all for n = 0)", calls)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		p.Inline(64, func(w *Worker, lo, hi int) { covered += hi - lo })
-	})
-	if avg != 0 {
-		t.Fatalf("Inline allocates %.1f objects/op, want 0", avg)
-	}
-}
-
 func TestConfigure(t *testing.T) {
 	old := Default()
 	defer defaultPool.Store(old)
@@ -177,7 +85,7 @@ func TestConfigure(t *testing.T) {
 		t.Fatalf("Configure(3, true) -> same pool %v, workers=%d", p == old, p.Workers())
 	}
 	var count atomic.Int64
-	p.ParallelFor(100, 1, func(w *Worker, lo, hi int) { count.Add(int64(hi - lo)) })
+	p.ParallelFor(100, 1, func(lo, hi int) { count.Add(int64(hi - lo)) })
 	if count.Load() != 100 {
 		t.Fatalf("configured pool covered %d of 100", count.Load())
 	}
@@ -191,9 +99,9 @@ func TestConfigureTwice(t *testing.T) {
 	defer defaultPool.Store(old)
 	nested := func() int64 {
 		var total atomic.Int64
-		ParallelFor(32, 1, func(w *Worker, lo, hi int) {
+		ParallelFor(32, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				ParallelFor(128, 8, func(w *Worker, lo, hi int) { total.Add(int64(hi - lo)) })
+				ParallelFor(128, 8, func(lo, hi int) { total.Add(int64(hi - lo)) })
 			}
 		})
 		return total.Load()
@@ -214,7 +122,7 @@ func TestConfigureTwice(t *testing.T) {
 // TestParallelForBound runs K concurrent callers on a W-worker pool and
 // checks that no more than W+K chunk bodies ever run at once: each caller
 // runs its own chunks, and every helper holds one of the pool's W
-// contexts.
+// tokens.
 func TestParallelForBound(t *testing.T) {
 	const W, K = 2, 3
 	p := New(W)
@@ -225,7 +133,7 @@ func TestParallelForBound(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
-				p.ParallelFor(64, 1, func(w *Worker, lo, hi int) {
+				p.ParallelFor(64, 1, func(lo, hi int) {
 					now := running.Add(1)
 					for {
 						old := peak.Load()

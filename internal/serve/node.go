@@ -40,9 +40,11 @@ type Config struct {
 // nothing that exists.
 var ErrConfig = errors.New("serve: bad node config")
 
-// check refuses contradictory settings before Open builds or starts
-// anything.
-func (cfg Config) check() error {
+// Check refuses contradictory settings. Open calls it before it builds
+// or starts anything; explaind calls it before it opens -store, so a
+// refused command line leaves no store directory behind. It reads only
+// whether Store is set, not the bucket.
+func (cfg Config) Check() error {
 	switch {
 	case cfg.CacheTier2 && cfg.Store == nil:
 		return fmt.Errorf("%w: -cache-tier2 requires -store", ErrConfig)
@@ -75,7 +77,7 @@ type Node struct {
 // and the server's settings and opens the boot feeds. Only the fully
 // wired node starts its ring's probe loop and its sync loop.
 func Open(cfg Config) (*Node, error) {
-	if err := cfg.check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	var ring *cluster.Cluster

@@ -26,7 +26,7 @@ func ExplainBatch(ctx context.Context, e Explainer, xs [][]float64) ([]Attributi
 	}
 	attrs := make([]Attribution, len(xs))
 	errs := make([]error, len(xs))
-	sched.ParallelFor(len(xs), 1, func(w *sched.Worker, lo, hi int) {
+	sched.ParallelFor(len(xs), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				errs[i] = err

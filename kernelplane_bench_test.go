@@ -60,7 +60,7 @@ func BenchmarkMLPPredictBatch(b *testing.B) {
 		X[r] = z
 	}
 	out := make([]float64, len(X))
-	ml.PredictBatchParallel(p.Model, X, out, 0) // fill the worker arenas
+	ml.PredictBatchParallel(p.Model, X, out, 0) // fill the scratch pools
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ml.PredictBatchParallel(p.Model, X, out, 0)

@@ -8,8 +8,8 @@
 # which fails when a named test no longer exists. Run it from anywhere
 # inside the repo before pushing.
 #
-#   ./scripts/check.sh            # everything: ~4.5 min on 2 vCPUs with a
-#                                 # cold test cache, ~3 min warm
+#   ./scripts/check.sh            # everything: ~5.5 min on 2 vCPUs with a
+#                                 # cold test cache
 #   FUZZTIME=0 ./scripts/check.sh # skip the fuzz smoke (40 s less)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -97,6 +97,16 @@ go test -race -timeout 5m ./internal/chaos
 
 step "cluster e2e smoke (3-node fleet under -race)"
 scripts/gotest.sh -race -run 'TestCluster' -timeout 5m ./internal/cluster
+
+step "cold-start → warm-start smoke (train, kill, restart from store, predict parity)"
+scripts/gotest.sh -race -run 'TestColdWarmRestartPredictParity' -timeout 5m ./internal/serve
+scripts/gotest.sh -run 'TestWarmStartRestoresModelsScenariosAndDefault|TestTier2AcrossRestartOnDisk|TestPipelineSaveLoadParityAllKinds' -timeout 5m ./internal/registry ./internal/core
+
+step "experiment runner smoke (2-cell spec under -race)"
+scripts/gotest.sh -race -run 'TestRunTwoCellSpec' -timeout 5m ./internal/experiment
+
+step "streaming smoke (feed → ingest → drift → retrain → SSE)"
+scripts/gotest.sh -race -run 'TestStreamingEndToEnd' -timeout 2m ./internal/serve
 
 # One iteration of every benchmark: the test steps compile benchmarks but
 # never run them, so only this step catches one that fails at run time.
