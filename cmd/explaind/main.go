@@ -131,7 +131,7 @@ func parseFlags(args []string, stderr io.Writer) (o options, err error) {
 	fs.BoolVar(&o.cfg.CacheTier2, "cache-tier2", false, "persist hot cache entries under -store (DIR/xcache) so a "+
 		"restarted or newly joined node serves explanations computed by the previous process or the fleet; needs -store")
 	fs.IntVar(&o.schedWorkers, "sched-workers", 0, "shared kernel worker-pool size (0 = GOMAXPROCS); "+
-		"sizes batch predict, ensemble sharding, forest training, the MLP forward pass and xai.ExplainBatch "+
+		"sizes batch predict, ensemble sharding, the MLP forward pass and xai.ExplainBatch "+
 		"(serving batch explains fan out behind the server's GOMAXPROCS-slot gate instead)")
 	fs.Func("model", "scenario:model:target[:hours] spec; repeat to serve several models. "+
 		"A bare kind (e.g. just \"rf\") combines with -scenario/-target, matching the pre-v1 CLI.",

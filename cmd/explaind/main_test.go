@@ -130,6 +130,8 @@ func TestRefusedRunCreatesNoStore(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cache-tier2", "-cache-mb", "0"},
 		{"-peers", "a=http://127.0.0.1:1"},
+		{"-node-id", "z", "-peers", "a=http://127.0.0.1:1"},
+		{"-node-id", "a", "-peers-file", filepath.Join(t.TempDir(), "members.json")},
 		{"-feed", "live:web:100000"},
 	} {
 		dir := filepath.Join(t.TempDir(), "store")

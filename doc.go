@@ -120,9 +120,9 @@
 // served seed a 1024-coalition explain evaluates 49,201 rows instead of
 // 61,441, and cold-kernelshap throughput, measured beside its parent
 // on the same host, rose from 90.5 to 122.1 req/s (BENCH_PR28.json).
-// Fan-out across all of it, forest training included, flows through one
-// pool of helper tokens (internal/sched), sized once (explaind
-// -sched-workers) instead of per-call-site goroutine spawning. The pool
+// Fan-out across all of it flows through one pool of helper tokens
+// (internal/sched), sized once (explaind -sched-workers) instead of
+// per-call-site goroutine spawning. The pool
 // only fans out: every kernel keeps its scratch in its own sync.Pool
 // (the MLP's chunk buffers, the wrapper's standardized rows, KernelSHAP,
 // LIME and the solver's workspaces). Its helpers are call-scoped:

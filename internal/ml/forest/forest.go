@@ -8,6 +8,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/ml/tree"
@@ -81,28 +83,48 @@ func (f *RandomForest) Fit(d *dataset.Dataset) error {
 		seeds[t] = rng.Int63()
 	}
 
-	// Trees are fitted over the shared sched pool, each writing only its
-	// own slot; the first error by tree index wins.
-	errs := make([]error, nTrees)
-	sched.ParallelFor(nTrees, 1, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			tr := tree.New(tree.Config{
-				Task:        f.Task,
-				MaxDepth:    depth,
-				MinLeaf:     minLeaf,
-				MaxFeatures: maxFeat,
-				Seed:        seeds[t],
-			})
-			if errs[t] = tr.FitIndices(d, boot[t], nil); errs[t] == nil {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > nTrees {
+		workers = nTrees
+	}
+	var (
+		wg     sync.WaitGroup
+		next   = make(chan int)
+		errMu  sync.Mutex
+		fitErr error
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range next {
+				tr := tree.New(tree.Config{
+					Task:        f.Task,
+					MaxDepth:    depth,
+					MinLeaf:     minLeaf,
+					MaxFeatures: maxFeat,
+					Seed:        seeds[t],
+				})
+				if err := tr.FitIndices(d, boot[t], nil); err != nil {
+					errMu.Lock()
+					if fitErr == nil {
+						fitErr = err
+					}
+					errMu.Unlock()
+					continue
+				}
 				f.Trees[t] = tr
 			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			f.Trees = nil
-			return err
-		}
+		}()
+	}
+	for t := 0; t < nTrees; t++ {
+		next <- t
+	}
+	close(next)
+	wg.Wait()
+	if fitErr != nil {
+		f.Trees = nil
+		return fitErr
 	}
 	return nil
 }

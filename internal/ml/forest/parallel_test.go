@@ -7,7 +7,6 @@ import (
 
 	"nfvxai/internal/dataset"
 	"nfvxai/internal/ml/tree"
-	"nfvxai/internal/sched"
 )
 
 // sequentialFit replays the seed's sequential fitting loop: the same RNG
@@ -51,11 +50,6 @@ func sequentialFit(t *testing.T, f *RandomForest, d *dataset.Dataset) []*tree.Tr
 }
 
 func TestParallelFitMatchesSequential(t *testing.T) {
-	// Two workers at least, so the trees are fitted on sched helpers even
-	// when the shared pool is first sized at GOMAXPROCS=1.
-	if sched.Default().Workers() < 2 {
-		sched.Configure(2, false)
-	}
 	d := nonlinearRegression(250, 42)
 	f := &RandomForest{NumTrees: 12, MaxDepth: 6, MinLeaf: 2, Task: dataset.Regression, Seed: 99}
 	if err := f.Fit(d); err != nil {

@@ -112,11 +112,13 @@ func poison(m *MLP) {
 // TestBlockTileParity holds both batch paths of the MLP to Predict bit
 // for bit: the AVX2 block path (predictBlocks) and the portable tile
 // path (predictTiles), each called directly on the chunks of a sched
-// dispatch with a fresh scratch per chunk, over hidden widths that
-// are not multiples of 4 or 8, Tanh, classification and three hidden
-// layers, batch sizes on both sides of the 4-row block and the 512-row
-// chunk, and inputs that hold NaN, infinities, −0, a subnormal and
-// ±1e308.
+// dispatch, over hidden widths that are not multiples of 4 or 8, Tanh,
+// classification and three hidden layers, batch sizes on both sides of
+// the 4-row block and the 512-row chunk, and inputs that hold NaN,
+// infinities, −0, a subnormal and ±1e308. Each chunk takes its scratch from chunkPool, as predictChunk
+// does, so it inherits buffers that earlier nets of other widths left
+// behind, and every slot of them is first set to NaN: a path that read
+// scratch before writing it would not match Predict.
 func TestBlockTileParity(t *testing.T) {
 	// Two workers at least, so batches of 1024 rows or more are split
 	// into chunks and dispatched (see TestPredictBatchParity).
@@ -167,7 +169,15 @@ func TestBlockTileParity(t *testing.T) {
 					X := parityRows(m, n, rng)
 					got := make([]float64, n)
 					sched.ParallelFor(n, batchChunk, func(lo, hi int) {
-						path.run(m, new(chunkScratch), X[lo:hi], got[lo:hi])
+						sc := chunkPool.Get().(*chunkScratch)
+						defer chunkPool.Put(sc)
+						for _, buf := range [][]float64{sc.cur, sc.nxt, sc.panel} {
+							buf = buf[:cap(buf)]
+							for i := range buf {
+								buf[i] = math.NaN()
+							}
+						}
+						path.run(m, sc, X[lo:hi], got[lo:hi])
 					})
 					for i, x := range X {
 						if want := m.Predict(x); !sameBits(got[i], want) {

@@ -1,11 +1,11 @@
 // Package sched is the shared compute pool behind every data-parallel
-// hot loop: generic batch prediction, forest/GBT ensemble sharding and
-// training, the MLP forward pass, and the xai batch plane all fan out
-// through one pool instead of each spawning its own GOMAXPROCS
-// goroutines. That solves the composition problem the ad-hoc fan-outs
-// had — a KernelSHAP explain inside a batch explain inside a serving
-// goroutine no longer multiplies goroutine counts. The pool only fans
-// out: kernels keep their per-chunk scratch in their own sync.Pools.
+// hot loop: generic batch prediction, forest/GBT ensemble sharding, the
+// MLP forward pass, and the xai batch plane all fan out through one pool
+// instead of each spawning its own GOMAXPROCS goroutines. That solves
+// the composition problem the ad-hoc fan-outs had — a KernelSHAP explain
+// inside a batch explain inside a serving goroutine no longer multiplies
+// goroutine counts. The pool only fans out: kernels keep their per-chunk
+// scratch in their own sync.Pools.
 //
 // Helpers are call-scoped. A pool holds Workers() helper tokens in a
 // buffered channel; ParallelFor takes whichever are idle without

@@ -43,15 +43,23 @@ var ErrConfig = errors.New("serve: bad node config")
 // Check refuses contradictory settings. Open calls it before it builds
 // or starts anything; explaind calls it before it opens -store, so a
 // refused command line leaves no store directory behind. It reads only
-// whether Store is set, not the bucket.
+// whether Store is set, not the bucket. A membership is read as the
+// ring reads it (-peers-file included), so a node id outside it is
+// refused here too.
 func (cfg Config) Check() error {
+	clustered := len(cfg.Cluster.Nodes) > 0 || cfg.Cluster.MembersFile != ""
 	switch {
 	case cfg.CacheTier2 && cfg.Store == nil:
 		return fmt.Errorf("%w: -cache-tier2 requires -store", ErrConfig)
 	case cfg.CacheTier2 && cfg.CacheMB <= 0:
 		return fmt.Errorf("%w: -cache-tier2 requires the cache on (-cache-mb > 0)", ErrConfig)
-	case (len(cfg.Cluster.Nodes) > 0 || cfg.Cluster.MembersFile != "") && cfg.Cluster.Self == "":
+	case clustered && cfg.Cluster.Self == "":
 		return fmt.Errorf("%w: -peers/-peers-file require -node-id", ErrConfig)
+	}
+	if clustered {
+		if _, err := cluster.New(cfg.Cluster); err != nil { // reads the membership, starts nothing
+			return fmt.Errorf("%w: %w", ErrConfig, err)
+		}
 	}
 	for _, fr := range cfg.Feeds {
 		if err := feed.Check(fr.Name, feed.Options{Rate: fr.Rate}); err != nil {
